@@ -18,7 +18,6 @@ from repro.analysis.rules.reg import RegistryRule
 from repro.analysis.rules.res import ResourcePathRule
 from repro.analysis.rules.rng import GlobalRngRule, SeedContractRule
 from repro.analysis.rules.seed import SeedTaintRule
-from repro.analysis.rules.shm import ShmUnlinkRule
 from repro.analysis.rules.wire import WireContractRule
 
 __all__ = ["all_rules", "rule_ids", "select_rules"]
@@ -33,7 +32,6 @@ def all_rules() -> list[Rule]:
         SeedTaintRule(),
         ForkSafetyRule(),
         SilentExceptionRule(),
-        ShmUnlinkRule(),
         PackedWireRule(),
         PackedFlowRule(),
         RegistryRule(),

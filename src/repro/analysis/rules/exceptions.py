@@ -2,11 +2,10 @@
 
 The supervised executor's whole contract is that failures are *loud*:
 a worker crash becomes a counted death, a failed chunk becomes a retry
-or a structured quarantine row, a degraded transport becomes a metric
-and an event.  A ``try/except: pass`` inside :mod:`repro.engine`
-undoes that — the failure vanishes before the supervisor can count,
-retry, or surface it, and the resulting "recovered" run lies about
-what happened.
+or a structured quarantine row.  A ``try/except: pass`` inside
+:mod:`repro.engine` undoes that — the failure vanishes before the
+supervisor can count, retry, or surface it, and the resulting
+"recovered" run lies about what happened.
 
 Two shapes are flagged, in engine modules only:
 

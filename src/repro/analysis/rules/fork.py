@@ -189,7 +189,7 @@ class ForkSafetyRule(Rule):
     rationale = (
         "forked workers inherit the parent's module state; mutating it "
         "without an initializer reset loses updates, double-counts "
-        "inherited deltas, or diverges between transports."
+        "inherited deltas, or diverges between workers."
     )
 
     def check(self, index: SourceIndex) -> Iterator[Finding]:
@@ -224,7 +224,7 @@ class ForkSafetyRule(Rule):
             f"{name!r} ({how}) without a pool-initializer reset",
             hint=(
                 "reset the state in the pool initializer (like "
-                "obs.reset()/shm.detach_all() in enter_worker), or "
+                "obs.reset() in enter_worker), or "
                 "make the mutation an idempotent guarded memo"
             ),
         )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import repro.obs as obs
 from repro.backends import (
@@ -79,41 +78,15 @@ fingerprint-keyed cache the samplers use).
 
 # -- shared argument helpers -------------------------------------------------
 
-_LEGACY_BACKEND_FLAGS = ("--simulator", "--sampler")
-
-
-class _BackendAction(argparse.Action):
-    """Stores the backend choice; warns when a legacy spelling is used."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string in _LEGACY_BACKEND_FLAGS:
-            warnings.warn(
-                f"{option_string} is deprecated; use --backend",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def add_backend_argument(
     parser: argparse.ArgumentParser, *, default: str = "symbolic"
 ) -> None:
-    """The one ``--backend`` argument every sampling command shares.
-
-    Registers the deprecated ``--simulator``/``--sampler`` aliases too
-    (each emits a :class:`DeprecationWarning` when used).
-    """
+    """The one ``--backend`` argument every sampling command shares."""
     parser.add_argument(
         "--backend",
-        *_LEGACY_BACKEND_FLAGS,
-        dest="backend",
-        action=_BackendAction,
         choices=backend_choices(),
         default=default,
-        help=(
-            f"sampler backend (default {default}; --simulator/--sampler "
-            f"are deprecated aliases)"
-        ),
+        help=f"sampler backend (default {default})",
     )
 
 
@@ -165,14 +138,6 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes (1 = serial; counts are identical either way)",
     )
     parser.add_argument(
-        "--transport", choices=["auto", "pickle", "shm"], default="auto",
-        help=(
-            "pooled-run wire: shared-memory slab arena (shm), classic "
-            "pickle, or auto-detect (default; REPRO_TRANSPORT env var "
-            "overrides).  Counts are bitwise identical either way"
-        ),
-    )
-    parser.add_argument(
         "--max-chunk-retries", type=int, default=2, metavar="N",
         help=(
             "retries per failed chunk lease (worker death, expired "
@@ -211,7 +176,6 @@ def _execution_options(args: argparse.Namespace, **extra):
         workers=args.workers,
         chunk_shots=2_000 if adaptive else args.chunk_shots,
         adaptive_chunks=adaptive,
-        transport=args.transport,
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout_seconds=args.chunk_timeout,
         retry_backoff=args.retry_backoff,
@@ -337,22 +301,6 @@ def _parse_ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def build_sweep_tasks(args: argparse.Namespace) -> list:
-    """Deprecated shim: build the CLI's standard sweep as engine tasks.
-
-    Use :class:`repro.study.Sweep` instead — it produces identical
-    tasks (same ``strong_id``s, so existing result stores still
-    resume).
-    """
-    warnings.warn(
-        "cli.build_sweep_tasks is deprecated; build a repro.study.Sweep "
-        "instead (identical tasks and strong_ids)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _sweep_from_args(args).tasks()
-
-
 def _sweep_from_args(args: argparse.Namespace):
     """The CLI's standard sweep: (code family x distance x noise)."""
     from repro.study import Sweep
@@ -363,10 +311,7 @@ def _sweep_from_args(args: argparse.Namespace):
         probabilities=_parse_floats(args.probabilities),
         rounds=args.rounds,
         decoders=args.decoder,
-        # Old namespaces (pre-`add_backend_argument`) carried the
-        # backend under `sampler`; accept both for shim callers.
-        samplers=getattr(args, "backend", None)
-        or getattr(args, "sampler", "symbolic"),
+        samplers=args.backend,
         max_shots=args.max_shots,
         max_errors=args.max_errors,
     )
@@ -435,8 +380,7 @@ def _print_recovery_profile() -> None:
     deaths = int(total("repro_worker_deaths_total"))
     expired = int(total("repro_lease_expired_total"))
     quarantined = int(total("repro_chunks_quarantined"))
-    degraded = int(total("repro_transport_degraded_total"))
-    if not (retries or deaths or expired or quarantined or degraded):
+    if not (retries or deaths or expired or quarantined):
         return
     print("recovery:")
     print(f"  {'chunk retries':<14} {retries:>8}  (re-leased and replayed)")
@@ -446,9 +390,6 @@ def _print_recovery_profile() -> None:
     if quarantined:
         print(f"  {'quarantined':<14} {quarantined:>8}  (chunks given up on; "
               f"see failure rows)")
-    if degraded:
-        print(f"  {'shm degraded':<14} {degraded:>8}  (runs fell back to "
-              f"pickle wire)")
 
 
 def _print_worker_profile() -> None:
@@ -568,7 +509,8 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro", description="SymPhase-reproduction stabilizer tools"
     )
@@ -692,8 +634,11 @@ def main(argv: list[str] | None = None) -> int:
         help="write the run's metrics registry to PATH in Prometheus "
              "text exposition format",
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     handlers = {
         "sample": _cmd_sample,
         "detect": _cmd_detect,

@@ -25,7 +25,6 @@ from repro.engine.faults import FaultClause, FaultInjected, FaultPlan
 from repro.engine.options import ExecutionOptions
 from repro.engine.tasks import Task
 from repro.engine.workers import (
-    TRANSPORTS,
     ChunkResult,
     ChunkRunner,
     ChunkSpec,
@@ -46,7 +45,6 @@ __all__ = [
     "FaultPlan",
     "ResultStore",
     "SamplerCache",
-    "TRANSPORTS",
     "Task",
     "TaskStats",
     "collect",

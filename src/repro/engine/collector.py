@@ -265,7 +265,6 @@ def collect(
     store: ResultStore | str | os.PathLike | None = UNSET,
     progress: Callable[[TaskStats], None] | None = UNSET,
     profile: bool = UNSET,
-    transport: str = UNSET,
     adaptive_chunks: bool = UNSET,
     max_chunk_retries: int = UNSET,
     chunk_timeout_seconds: float | None = UNSET,
@@ -297,8 +296,6 @@ def collect(
     * ``profile`` — enable :mod:`repro.obs` metrics for this run
       (restored afterwards; the registry is left populated for the
       caller).  Observational only — counts are unaffected.
-    * ``transport`` — pooled-run wire: ``"pickle"``, ``"shm"``, or
-      ``"auto"`` (default).  Counts are bitwise identical either way.
     * ``adaptive_chunks`` — steer chunk sizes toward
       ``options.target_chunk_seconds`` instead of fixed
       ``chunk_shots``; changes which shots are drawn, so off by
@@ -319,7 +316,6 @@ def collect(
         store=store,
         progress=progress,
         profile=profile,
-        transport=transport,
         adaptive_chunks=adaptive_chunks,
         max_chunk_retries=max_chunk_retries,
         chunk_timeout_seconds=chunk_timeout_seconds,
@@ -356,7 +352,6 @@ def collect(
     try:
         with ChunkRunner(
             workers=options.workers,
-            transport=options.transport,
             max_chunk_retries=options.max_chunk_retries,
             chunk_timeout_seconds=options.chunk_timeout_seconds,
             retry_backoff=options.retry_backoff,

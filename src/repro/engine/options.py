@@ -67,11 +67,6 @@ class ExecutionOptions:
       of the run (flags restored afterwards; the registry is left
       intact for the caller to read).  Purely observational: no effect
       on the collected counts.
-    * ``transport`` — parent-worker wire for pooled runs: ``"pickle"``,
-      ``"shm"`` (shared-memory slab arena, header-only pickles), or
-      ``"auto"`` (shm when the host supports it, overridable via the
-      ``REPRO_TRANSPORT`` environment variable).  Counts are bitwise
-      identical on every wire; this is purely a performance choice.
     * ``adaptive_chunks`` — let an
       :class:`~repro.engine.adaptive.AdaptiveChunkSizer` steer chunk
       sizes toward ``target_chunk_seconds`` within
@@ -106,7 +101,6 @@ class ExecutionOptions:
         default=None, compare=False
     )
     profile: bool = False
-    transport: str = "auto"
     adaptive_chunks: bool = False
     target_chunk_seconds: float = 0.25
     min_chunk_shots: int = 256
@@ -123,11 +117,6 @@ class ExecutionOptions:
             raise ValueError("chunk_shots must be positive")
         if self.max_errors is not None and self.max_errors < 1:
             raise ValueError("max_errors must be positive when set")
-        if self.transport not in ("auto", "pickle", "shm"):
-            raise ValueError(
-                "transport must be 'auto', 'pickle' or 'shm', "
-                f"got {self.transport!r}"
-            )
         if self.target_chunk_seconds <= 0:
             raise ValueError("target_chunk_seconds must be positive")
         if not 1 <= self.min_chunk_shots <= self.max_chunk_shots:

@@ -49,7 +49,7 @@ class TestRuleRegistry:
 
     def test_expected_rule_set(self):
         assert set(rule_ids()) >= {
-            "RNG001", "RNG002", "FORK001", "SHM001",
+            "RNG001", "RNG002", "FORK001",
             "PACK001", "REG001", "OBS001", "API001",
             "PARSE000", "SEED001", "PACK002", "RES001", "WIRE001",
         }
@@ -81,18 +81,18 @@ class TestSuppressionParsing:
     def test_wildcard(self):
         line = "x = 1  # repro: ignore[*]"
         assert suppressed_rules(line) == {"*"}
-        finding = Finding("SHM001", "error", "f.py", 1, "m")
+        finding = Finding("RES001", "error", "f.py", 1, "m")
         assert is_suppressed(finding, [line])
 
     def test_plain_comment_is_not_a_suppression(self):
         assert suppressed_rules("x = 1  # ignore this") == frozenset()
 
     def test_wrong_rule_does_not_suppress(self):
-        finding = Finding("SHM001", "error", "f.py", 1, "m")
+        finding = Finding("RES001", "error", "f.py", 1, "m")
         assert not is_suppressed(finding, ["x  # repro: ignore[RNG001]"])
 
     def test_line_out_of_range(self):
-        finding = Finding("SHM001", "error", "f.py", 99, "m")
+        finding = Finding("RES001", "error", "f.py", 99, "m")
         assert not is_suppressed(finding, ["x  # repro: ignore[*]"])
 
 
@@ -118,7 +118,7 @@ class TestBaseline:
         baseline = Baseline(entries=[self.entry()])
         assert baseline.matches(self.finding())
         assert not baseline.matches(self.finding(path="other.py"))
-        assert not baseline.matches(self.finding(rule="SHM001"))
+        assert not baseline.matches(self.finding(rule="RES001"))
         assert baseline.stale_entries() == []
 
     def test_symbol_and_contains_narrow_the_match(self):
@@ -195,7 +195,7 @@ class TestReporters:
         assert "line=3" in lines[0]
         assert "title=RNG001" in lines[0]
         assert "::" in lines[0].split("title=RNG001", 1)[1]
-        assert lines[-1] == "1 finding(s) in 1 file(s), 14 rule(s)"
+        assert lines[-1] == "1 finding(s) in 1 file(s), 13 rule(s)"
 
     def test_github_annotation_escaping(self):
         finding = Finding(
@@ -224,14 +224,14 @@ class TestReporters:
     def test_sort_findings_orders_by_path_line_rule(self):
         unordered = [
             Finding("RNG001", "error", "b.py", 2, "m"),
-            Finding("SHM001", "error", "a.py", 9, "m"),
+            Finding("RES001", "error", "a.py", 9, "m"),
             Finding("API001", "warning", "a.py", 9, "m"),
             Finding("RNG001", "error", "a.py", 1, "m"),
         ]
         ordered = sort_findings(unordered)
         assert [(f.path, f.line, f.rule) for f in ordered] == [
             ("a.py", 1, "RNG001"), ("a.py", 9, "API001"),
-            ("a.py", 9, "SHM001"), ("b.py", 2, "RNG001"),
+            ("a.py", 9, "RES001"), ("b.py", 2, "RNG001"),
         ]
 
 

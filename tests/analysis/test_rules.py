@@ -216,69 +216,6 @@ class TestFORK001:
         assert [f.rule for f in result.suppressed] == ["FORK001"]
 
 
-class TestSHM001:
-    def test_create_without_unlink_flagged(self, tmp_path):
-        result = scan(tmp_path, {"seg.py": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def grab(size):\n"
-            "    seg = SharedMemory(create=True, size=size)\n"
-            "    return seg.name\n"
-        )})
-        # The syntactic rule and the flow-sensitive path rule both see
-        # this leak (returning seg.name keeps the handle captive).
-        assert rules_found(result) == ["RES001", "SHM001"]
-
-    def test_unlink_in_finally_clean(self, tmp_path):
-        result = scan(tmp_path, {"seg.py": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def probe(size):\n"
-            "    seg = SharedMemory(create=True, size=size)\n"
-            "    try:\n"
-            "        return seg.name\n"
-            "    finally:\n"
-            "        seg.close()\n"
-            "        seg.unlink()\n"
-        )})
-        assert result.findings == []
-
-    def test_finalize_backstop_clean(self, tmp_path):
-        result = scan(tmp_path, {"seg.py": (
-            "import weakref\n"
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def _unlink_all(segments):\n"
-            "    for seg in segments:\n"
-            "        seg.unlink()\n"
-            "class Arena:\n"
-            "    def __init__(self):\n"
-            "        self.segments = []\n"
-            "        weakref.finalize(self, _unlink_all, self.segments)\n"
-            "    def grow(self, size):\n"
-            "        self.segments.append(SharedMemory(create=True, size=size))\n"
-        )})
-        assert result.findings == []
-
-    def test_attach_existing_segment_clean(self, tmp_path):
-        result = scan(tmp_path, {"seg.py": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def attach(name):\n"
-            "    return SharedMemory(name=name)\n"
-        )})
-        assert result.findings == []
-
-    def test_suppression_comment(self, tmp_path):
-        result = scan(tmp_path, {"seg.py": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def grab(size):\n"
-            "    seg = SharedMemory(create=True, size=size)  "
-            "# repro: ignore[SHM001]\n"
-            "    return seg.name\n"
-        )})
-        # Suppressing SHM001 does not blanket-silence the overlapping
-        # flow-sensitive RES001 finding on the same acquisition.
-        assert rules_found(result) == ["RES001"]
-        assert [f.rule for f in result.suppressed] == ["SHM001"]
-
-
 class TestPACK001:
     """PACK001 now covers only module-level (import-time) statements;
     function bodies moved to the flow-sensitive PACK002."""
@@ -475,10 +412,10 @@ class TestOBS001:
 class TestAPI001:
     def test_benchmark_deep_import_flagged(self, tmp_path):
         result = scan(tmp_path, {"benchmarks/bench_x.py": (
-            "from repro.engine.shm import SlabArena\n"
+            "from repro.engine.supervise import SupervisedPool\n"
         )})
         assert rules_found(result) == ["API001"]
-        assert "repro.engine.shm" in result.findings[0].message
+        assert "repro.engine.supervise" in result.findings[0].message
 
     def test_example_deep_import_flagged(self, tmp_path):
         result = scan(tmp_path, {"examples/demo.py": (
@@ -511,7 +448,8 @@ class TestAPI001:
 
     def test_suppression_comment(self, tmp_path):
         result = scan(tmp_path, {"benchmarks/bench_x.py": (
-            "from repro.engine.shm import SlabArena  # repro: ignore[API001]\n"
+            "from repro.engine.supervise import SupervisedPool  "
+            "# repro: ignore[API001]\n"
         )})
         assert result.findings == []
         assert [f.rule for f in result.suppressed] == ["API001"]

@@ -132,5 +132,3 @@ class TestCollectIntegration:
             ExecutionOptions(min_chunk_shots=0)
         with pytest.raises(ValueError):
             ExecutionOptions(min_chunk_shots=100, max_chunk_shots=50)
-        with pytest.raises(ValueError):
-            ExecutionOptions(transport="carrier-pigeon")

@@ -1,8 +1,8 @@
 """Chaos suite: injected faults never change the collected counts.
 
 The grid runs one small sweep three ways — serial (the uninjected
-reference), pooled clean, and pooled with a fault plan firing — across
-both transports, and asserts the ``(shots, errors)`` counts and the
+reference), pooled clean, and pooled with a fault plan firing — and
+asserts the ``(shots, errors)`` counts and the
 task ``strong_id``s are bitwise identical everywhere.  Recovery is
 asserted through the supervisor's metrics (deaths, retries, expired
 leases), and the quarantine/resume round-trip is exercised end to end
@@ -15,7 +15,6 @@ import pytest
 
 import repro.obs as obs
 from repro.engine import ChunkRunner, Task, collect, plan_chunks
-from repro.engine import shm
 from repro.engine.collector import ResultStore
 from repro.engine.faults import (
     ENV_VAR,
@@ -64,9 +63,9 @@ class TestFaultPlan:
         assert clause.fires("raise", 1, 99)
 
     def test_parse_multiple_clauses(self):
-        plan = FaultPlan.parse("kill@0, corrupt-slot@3 ,delay@2:1.5")
+        plan = FaultPlan.parse("kill@0, raise@3 ,delay@2:1.5")
         assert [c.action for c in plan.clauses] == [
-            "kill", "corrupt-slot", "delay"
+            "kill", "raise", "delay"
         ]
 
     def test_default_fires_first_attempt_only(self):
@@ -81,8 +80,11 @@ class TestFaultPlan:
             assert str(FaultPlan.parse(text)) == text
 
     def test_bad_action_rejected(self):
-        with pytest.raises(ValueError, match="bad fault clause"):
-            FaultPlan.parse("explode@2")
+        # The second input names an action of the removed shared-memory
+        # wire: old plans using it must fail loudly, not be ignored.
+        for text in ("explode@2", "corrupt-slot@1"):
+            with pytest.raises(ValueError, match="bad fault clause"):
+                FaultPlan.parse(text)
 
     def test_bad_chunk_rejected(self):
         with pytest.raises(ValueError, match="bad fault clause"):
@@ -118,11 +120,10 @@ class TestFaultPlan:
         runs are the chaos grid's clean reference by construction."""
         from repro.engine import faults
 
-        install("kill@0x*,raise@0x*,delay@0:5x*,corrupt-slot@0x*")
+        install("kill@0x*,raise@0x*,delay@0:5x*")
         try:
             faults.on_chunk_start(0, 0, in_worker=False)  # no SIGKILL
             faults.on_decode(0, 0, in_worker=False)  # no raise
-            assert not faults.corrupt_slot(0, 0, in_worker=False)
         finally:
             install(NOOP)
 
@@ -142,24 +143,18 @@ FAULT_CASES = {
     "raise": dict(fault_plan="raise@1", retry_backoff=0.01),
 }
 
-TRANSPORTS = ["pickle"] + (["shm"] if shm.shm_available() else [])
 
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("fault", sorted(FAULT_CASES))
-def test_faulted_pooled_counts_match_serial(transport, fault):
+def test_faulted_pooled_counts_match_serial(fault):
     task = make_task()
     # 500-shot chunks -> chunk indices 0..7, so every clause's target
     # chunk actually exists (chunk_shots is shared: it is part of the
     # statistical protocol, and all three runs must draw the same shots).
     serial = collect([task], base_seed=11, workers=1, chunk_shots=500)
-    pooled = collect(
-        [task], base_seed=11, workers=2, transport=transport,
-        chunk_shots=500,
-    )
+    pooled = collect([task], base_seed=11, workers=2, chunk_shots=500)
     faulted = collect(
-        [task], base_seed=11, workers=2, transport=transport,
-        chunk_shots=500, **FAULT_CASES[fault],
+        [task], base_seed=11, workers=2, chunk_shots=500,
+        **FAULT_CASES[fault],
     )
     assert counts(faulted) == counts(pooled) == counts(serial)
     assert (
@@ -168,22 +163,6 @@ def test_faulted_pooled_counts_match_serial(transport, fault):
         == [s.task_id for s in serial]
     )
     assert all(s.failed_chunks == 0 for s in faulted)
-
-
-@pytest.mark.skipif(not shm.shm_available(), reason="no shared memory")
-def test_corrupt_slot_degrades_but_counts_hold():
-    """A scribbled shm result slot only ever loses telemetry: the run
-    degrades to the pickle wire and the counts still match serial."""
-    obs.enable(tracing=False, metrics=True)
-    task = make_task()
-    serial = collect([task], base_seed=11, workers=1)
-    faulted = collect(
-        [task], base_seed=11, workers=2, transport="shm",
-        fault_plan="corrupt-slot@1",
-    )
-    assert counts(faulted) == counts(serial)
-    degraded = obs.registry().value("repro_transport_degraded_total")
-    assert degraded == 1.0
 
 
 def test_worker_death_metrics_recorded():

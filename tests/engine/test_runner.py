@@ -2,10 +2,11 @@
 
 import multiprocessing
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
-from repro.engine import ChunkRunner, plan_chunks
+from repro.engine import ChunkRunner, collect, plan_chunks
 from repro.engine.tasks import Task
 from repro.engine.workers import ChunkResult
 from repro.qec import repetition_code_memory
@@ -45,6 +46,36 @@ class TestSubmissionOrder:
             observed = [(r.chunk_index, r.shots, r.errors)
                         for r in pooled.run(specs)]
         assert observed == expected
+
+
+class TestPickleWire:
+    def test_pooled_run_creates_no_shared_memory(self, monkeypatch):
+        """Specs and results travel pickled over each worker's pipe, so
+        a pooled run never creates a named shared-memory segment (which
+        could outlive a crashed run) and counts still equal serial.
+
+        The spy records constructions instead of raising: a raising
+        spy could be caught by a caller and hidden behind a fallback.
+        """
+        created = []
+
+        class SpySharedMemory(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                created.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", SpySharedMemory)
+        circuit = repetition_code_memory(
+            3, rounds=2, data_flip_probability=0.05,
+            measure_flip_probability=0.05,
+        )
+        task = Task(circuit, decoder="compiled-matching", max_shots=1_200)
+        serial = collect([task], base_seed=7, workers=1, chunk_shots=200)
+        pooled = collect([task], base_seed=7, workers=2, chunk_shots=200)
+        assert [(s.shots, s.errors) for s in pooled] == [
+            (s.shots, s.errors) for s in serial
+        ]
+        assert created == []
 
 
 class TestEarlyStopShutdown:

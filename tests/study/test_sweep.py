@@ -1,6 +1,5 @@
 """Sweep grids, CLI parity, SweepResult operations."""
 
-import argparse
 import json
 
 import pytest
@@ -12,47 +11,23 @@ from repro.study import Sweep, SweepResult, run
 SEED = 5
 
 
-def cli_default_namespace(**overrides):
-    """The `repro collect` defaults, as build_sweep_tasks consumed them."""
-    values = dict(
-        code="both",
-        distances="3,5",
-        probabilities="0.005,0.01,0.02",
-        rounds=3,
-        decoder="compiled-matching",
-        backend="symbolic",
-        max_shots=10_000,
-        max_errors=None,
-    )
-    values.update(overrides)
-    return argparse.Namespace(**values)
-
-
 class TestCliParity:
     def test_default_grid_strong_ids_unchanged(self):
-        """Sweep() reproduces build_sweep_tasks' tasks exactly — same
-        order, same strong_ids — so existing result stores resume."""
-        from repro.cli import build_sweep_tasks
+        """Sweep() reproduces the tasks `repro collect` builds from its
+        parser defaults exactly — same order, same strong_ids, same
+        metadata — so existing result stores resume."""
+        from repro.cli import _sweep_from_args, build_parser
 
-        with pytest.deprecated_call():
-            legacy = build_sweep_tasks(cli_default_namespace())
+        args = build_parser().parse_args(["collect"])
+        from_cli = _sweep_from_args(args).tasks()
         fresh = Sweep().tasks()
-        assert len(legacy) == len(fresh) == 12  # 2 codes x 2 d x 3 p
-        for old, new in zip(legacy, fresh):
-            assert old.strong_id() == new.strong_id()
-            assert old.metadata == new.metadata
-            assert (old.decoder, old.sampler) == (new.decoder, new.sampler)
-
-    def test_legacy_sampler_namespace_still_supported(self):
-        """Pre-redesign namespaces carried the backend under `sampler`."""
-        from repro.cli import build_sweep_tasks
-
-        namespace = cli_default_namespace(backend=None)
-        namespace.sampler = "frame"
-        del namespace.backend
-        with pytest.deprecated_call():
-            legacy = build_sweep_tasks(namespace)
-        assert all(task.sampler == "frame" for task in legacy)
+        assert len(from_cli) == len(fresh) == 12  # 2 codes x 2 d x 3 p
+        for cli_task, task in zip(from_cli, fresh):
+            assert cli_task.strong_id() == task.strong_id()
+            assert cli_task.metadata == task.metadata
+            assert (cli_task.decoder, cli_task.sampler) == (
+                task.decoder, task.sampler
+            )
 
     def test_metadata_keys_are_canonical(self):
         task = Sweep(codes="repetition", distances=3, probabilities=0.01).tasks()[0]
