@@ -126,18 +126,26 @@ class FaultPlan:
                     f"action@chunk[:arg][xN] with action in {ACTIONS}"
                 )
             attempts: int | None = 1
+            reps = None
             if "x" in rest:
                 rest, _, reps = rest.rpartition("x")
-                attempts = None if reps == "*" else int(reps)
             chunk_text, _, arg_text = rest.partition(":")
             try:
                 chunk_index = int(chunk_text)
                 arg = float(arg_text) if arg_text else 0.0
+                if reps is not None:
+                    attempts = None if reps == "*" else int(reps)
             except ValueError:
                 raise ValueError(
                     f"bad fault clause {part!r}: chunk must be an int, "
-                    f"arg a float"
+                    f"arg a float, xN a positive int or x*"
                 ) from None
+            if attempts is not None and attempts < 1:
+                # xN with N < 1 could never fire: reject it rather than
+                # run a plan that silently injects nothing.
+                raise ValueError(
+                    f"bad fault clause {part!r}: xN needs N >= 1"
+                )
             clauses.append(FaultClause(action, chunk_index, arg, attempts))
         return cls(tuple(clauses))
 

@@ -241,6 +241,70 @@ class TestRES001:
         assert sorted(f.rule for f in result.suppressed) == ["RES001"]
 
 
+class TestRES001SharedMemory:
+    """Named shared-memory segments outlive a leaking process, so these
+    pin RES001's coverage of the create/attach/unlink patterns."""
+
+    def test_create_kept_captive_flagged(self, tmp_path):
+        # Returning only the segment's name keeps the handle captive:
+        # nobody can unlink it afterwards.
+        result = scan(tmp_path, {"seg.py": (
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def grab(size):\n"
+            "    seg = SharedMemory(create=True, size=size)\n"
+            "    return seg.name\n"
+        )})
+        assert rules_found(result) == ["RES001"]
+        assert "'seg'" in result.findings[0].message
+
+    def test_attached_handle_left_open_flagged(self, tmp_path):
+        result = scan(tmp_path, {"seg.py": (
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def peek(name):\n"
+            "    seg = SharedMemory(name=name)\n"
+            "    return bytes(seg.buf[:8])\n"
+        )})
+        assert rules_found(result) == ["RES001"]
+
+    def test_unlink_on_exception_then_handoff_clean(self, tmp_path):
+        result = scan(tmp_path, {"seg.py": (
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def make(size, fill):\n"
+            "    seg = SharedMemory(create=True, size=size)\n"
+            "    try:\n"
+            "        fill(seg.buf)\n"
+            "    except BaseException:\n"
+            "        seg.close()\n"
+            "        seg.unlink()\n"
+            "        raise\n"
+            "    return seg\n"
+        )})
+        assert "RES001" not in rules_found(result)
+
+    def test_finalize_backstop_clean(self, tmp_path):
+        result = scan(tmp_path, {"seg.py": (
+            "import weakref\n"
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def _unlink(seg):\n"
+            "    seg.close()\n"
+            "    seg.unlink()\n"
+            "class Arena:\n"
+            "    def grow(self, size):\n"
+            "        seg = SharedMemory(create=True, size=size)\n"
+            "        weakref.finalize(self, _unlink, seg)\n"
+            "        return seg.name\n"
+        )})
+        assert result.findings == []
+
+    def test_attach_handed_to_caller_clean(self, tmp_path):
+        result = scan(tmp_path, {"seg.py": (
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "def attach(name):\n"
+            "    return SharedMemory(name=name)\n"
+        )})
+        assert result.findings == []
+
+
 class TestWIRE001:
     def test_lambda_into_spec_flagged(self, tmp_path):
         result = scan(tmp_path, {"dispatch.py": (

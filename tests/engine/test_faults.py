@@ -90,6 +90,20 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="bad fault clause"):
             FaultPlan.parse("kill@two")
 
+    @pytest.mark.parametrize("text", [
+        "kill",  # no @chunk
+        "@2",  # no action
+        "kill@",  # no chunk
+        "delay@1:soon",  # arg not a float
+        "kill@2xmany",  # repeat count not an int
+        "kill@2x",  # empty repeat count
+        "kill@2x0",  # could never fire
+        "raise@1x-1",  # could never fire
+    ])
+    def test_malformed_clause_rejected(self, text):
+        with pytest.raises(ValueError, match="bad fault clause"):
+            FaultPlan.parse(text)
+
     def test_empty_string_is_noop(self):
         assert not FaultPlan.parse("")
         assert not FaultPlan.parse("  ,  ")
