@@ -35,7 +35,7 @@ PACKED_PRODUCERS = frozenset({
     "sample_detectors_packed", "decode_batch_packed",
     "packed_detector_samples", "pack_detector_samples",
     "pack_rows", "pack_bits", "random_packed",
-    "detect_packed", "decode_packed",
+    "detect_packed", "decode_packed", "packed_predictions",
 })
 
 #: Calls whose results are unpacked uint8 rows.
@@ -45,9 +45,9 @@ UNPACKED_PRODUCERS = frozenset({
 })
 
 #: Functions whose array arguments must be packed (the bitops boundary
-#: plus the packed decoder entry).
+#: plus the packed decoder entries).
 PACKED_CONSUMERS = frozenset({
-    "decode_batch_packed", "popcount_rows", "popcount",
+    "decode_batch_packed", "packed_predictions", "popcount_rows", "popcount",
     "nonzero_rows_packed", "dedupe_rows_packed", "xor_rows_any",
     "nonzero_bits", "parity_words", "unpack_rows", "unpack_bits",
 })

@@ -107,16 +107,13 @@ def add_seed_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _chunk_shots(value: str) -> "int | str":
-    """``--chunk-shots`` parser: a positive int, or ``auto`` to let the
-    adaptive sizer steer chunk sizes toward a target latency."""
-    if value == "auto":
-        return value
+def _chunk_shots(value: str) -> int:
+    """``--chunk-shots`` parser: a positive int."""
     try:
         shots = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
+            f"expected a positive integer, got {value!r}"
         ) from None
     if shots < 1:
         raise argparse.ArgumentTypeError("chunk shots must be positive")
@@ -130,7 +127,7 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "shots per derived-seed chunk (default 2000; part of the "
             "statistical protocol, keep fixed across runs sharing a "
-            "store), or 'auto' for adaptive latency-targeted sizing"
+            "store)"
         ),
     )
     parser.add_argument(
@@ -170,12 +167,10 @@ def _execution_options(args: argparse.Namespace, **extra):
     """Build :class:`ExecutionOptions` from parsed shared arguments."""
     from repro.study import ExecutionOptions
 
-    adaptive = args.chunk_shots == "auto"
     return ExecutionOptions(
         base_seed=args.seed,
         workers=args.workers,
-        chunk_shots=2_000 if adaptive else args.chunk_shots,
-        adaptive_chunks=adaptive,
+        chunk_shots=args.chunk_shots,
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout_seconds=args.chunk_timeout,
         retry_backoff=args.retry_backoff,
@@ -232,8 +227,6 @@ def _cmd_decoders(args: argparse.Namespace) -> int:
             flags.append("compile-once")
         if info.batched:
             flags.append("batched")
-        if info.packed:
-            flags.append("packed")
         if info.graphlike_only:
             flags.append("graphlike-only")
         if info.exact:

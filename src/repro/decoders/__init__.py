@@ -5,7 +5,12 @@ fault-tolerant gadget": draw millions of detector samples, decode them,
 count logical failures.  This package closes that loop.  Every decoder
 sits behind one protocol — ``compile_decoder(dem, name)`` returns an
 object answering ``decode(syndrome)`` and ``decode_batch(syndromes)`` —
-and is selected by registry name, mirroring :mod:`repro.backends`:
+and is selected by registry name, mirroring :mod:`repro.backends`.  The
+packed entry the engine decodes through is
+:func:`~repro.decoders.registry.packed_predictions`: a decoder's native
+``decode_batch_packed`` when it has one (``compiled-matching``), the
+pack adapter around ``decode_batch`` otherwise, bitwise identical
+either way:
 
 ``matching`` (alias ``mwpm``)
     Minimum-weight perfect matching on graphlike DEMs via per-shot
@@ -42,6 +47,7 @@ from repro.decoders.registry import (
     compile_decoder,
     decoder_choices,
     get_decoder,
+    packed_predictions,
     register_decoder,
 )
 
@@ -59,6 +65,7 @@ __all__ = [
     "decoder_choices",
     "get_decoder",
     "logical_error_rate",
+    "packed_predictions",
     "register_decoder",
     "shots_per_error",
     "wilson_interval",
@@ -122,7 +129,6 @@ register_decoder(
         ),
         graphlike_only=True,
         batched=True,
-        packed=True,
     ),
     _compile_compiled_matching,
     aliases=("cmwpm", "batch-matching"),

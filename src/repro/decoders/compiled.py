@@ -46,6 +46,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.decoders.matching import BOUNDARY, build_decoding_graph, dedupe_rows
+from repro.decoders.registry import checked_packed_syndromes, checked_syndromes
 from repro.dem.model import DetectorErrorModel
 from repro.gf2 import bitops
 
@@ -160,12 +161,9 @@ class CompiledMatchingDecoder:
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Decode many detector samples: shape (shots, n_detectors)."""
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
-        out = np.zeros(
-            (syndromes.shape[0], self.n_observables), dtype=np.uint8
-        )
+        syndromes = checked_syndromes(syndromes, self.n_detectors)
         if syndromes.shape[0] == 0:
-            return out
+            return np.zeros((0, self.n_observables), dtype=np.uint8)
         unique, inverse = dedupe_rows(syndromes)
         rows, flat = np.nonzero(unique)
         counts = np.bincount(rows, minlength=unique.shape[0])
@@ -185,13 +183,7 @@ class CompiledMatchingDecoder:
         the same decode core as :meth:`decode_batch`, so predictions are
         bitwise identical to packing that method's output.
         """
-        syndromes = np.asarray(syndromes, dtype=np.uint64)
-        n_words = bitops.words_for(self.n_detectors)
-        if syndromes.ndim != 2 or syndromes.shape[1] != n_words:
-            raise ValueError(
-                f"expected packed syndromes of shape (shots, {n_words}), "
-                f"got {syndromes.shape}"
-            )
+        syndromes = checked_packed_syndromes(syndromes, self.n_detectors)
         out = np.zeros(
             (syndromes.shape[0], bitops.words_for(self.n_observables)),
             dtype=np.uint64,

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.decoders.registry import checked_syndromes
 from repro.dem.model import DetectorErrorModel
 
 
@@ -61,7 +62,8 @@ class LookupDecoder:
         return correction.copy()
 
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        """Decode many detector samples: shape (shots, n_detectors)."""
+        syndromes = checked_syndromes(syndromes, self.n_detectors)
         if syndromes.shape[0] == 0:
             return np.zeros(
                 (0, self.n_observables), dtype=np.uint8

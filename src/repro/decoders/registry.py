@@ -5,6 +5,10 @@ pipeline: the engine workers, the experiment harness, the CLI and the
 examples all resolve decoders through this registry, so adding a decoder
 (say, a union-find or belief-propagation decoder) is one
 :func:`register_decoder` call, not a code fork across five layers.
+
+A decoder only has to answer the unpacked protocol; the engine decodes
+every decoder in the packed domain through :func:`packed_predictions`,
+which uses a native ``decode_batch_packed`` when the decoder has one.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Callable, Iterable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.dem.model import DetectorErrorModel
+from repro.gf2 import bitops
 
 
 @runtime_checkable
@@ -42,11 +47,6 @@ class DecoderInfo:
     ``batched`` — ``decode_batch`` is vectorized across shots rather
     than a Python loop over ``decode``.
 
-    ``packed`` — the decoder answers ``decode_batch_packed``: packed
-    uint64 syndromes in, packed predictions out, bitwise identical to
-    packing ``decode_batch``'s output.  The engine's hot path routes
-    through it when set, never materializing unpacked uint8 matrices.
-
     ``exact`` — maximum-likelihood over the mechanisms it enumerates
     (the lookup table), as opposed to the matching approximation.
 
@@ -58,7 +58,6 @@ class DecoderInfo:
     description: str
     graphlike_only: bool = False
     batched: bool = False
-    packed: bool = False
     exact: bool = False
     compile_once: bool = True
 
@@ -134,6 +133,59 @@ def available_decoders() -> tuple[str, ...]:
 def decoder_choices() -> tuple[str, ...]:
     """Canonical names plus aliases (for CLI ``choices=``)."""
     return tuple(sorted(set(_REGISTRY) | set(_ALIASES)))
+
+
+def packed_predictions(
+    decoder: SyndromeDecoder, syndromes: np.ndarray, n_detectors: int
+) -> np.ndarray:
+    """Packed predictions from *any* decoder, for packed syndromes.
+
+    Input and output use the packed wire format (shot-major uint64
+    rows, little-endian bit order, zero padding bits).  Calls the
+    decoder's ``decode_batch_packed`` when it has one and otherwise
+    unpacks the ``n_detectors``-wide rows, runs ``decode_batch`` and
+    packs the result — the decoding-side mirror of
+    :func:`repro.backends.protocol.packed_detector_samples`.  Packing
+    is lossless, so either way the predictions are bitwise identical to
+    packing ``decode_batch``'s output.  A wrong packed width raises the
+    same ``ValueError`` on both paths.
+    """
+    native = getattr(decoder, "decode_batch_packed", None)
+    if native is not None:
+        return native(syndromes)
+    syndromes = checked_packed_syndromes(syndromes, n_detectors)
+    return bitops.pack_rows(
+        decoder.decode_batch(bitops.unpack_rows(syndromes, n_detectors))
+    )
+
+
+def checked_syndromes(syndromes, n_detectors: int) -> np.ndarray:
+    """``syndromes`` as a uint8 ``(shots, n_detectors)`` matrix.
+
+    Every batch decoder validates its input here: a row of the wrong
+    width would otherwise decode silently to zeros (or, one bit too
+    wide, misread the stray bit as the boundary node).
+    """
+    syndromes = np.asarray(syndromes, dtype=np.uint8)
+    if syndromes.ndim != 2 or syndromes.shape[1] != n_detectors:
+        raise ValueError(
+            f"expected syndromes of shape (shots, {n_detectors}), "
+            f"got {syndromes.shape}"
+        )
+    return syndromes
+
+
+def checked_packed_syndromes(syndromes, n_detectors: int) -> np.ndarray:
+    """``syndromes`` as a packed ``(shots, words_for(n_detectors))``
+    uint64 matrix; the packed counterpart of :func:`checked_syndromes`."""
+    syndromes = np.asarray(syndromes, dtype=np.uint64)
+    n_words = bitops.words_for(n_detectors)
+    if syndromes.ndim != 2 or syndromes.shape[1] != n_words:
+        raise ValueError(
+            f"expected packed syndromes of shape (shots, {n_words}), "
+            f"got {syndromes.shape}"
+        )
+    return syndromes
 
 
 def compile_decoder(

@@ -18,7 +18,6 @@ Typical use::
 or from the command line: ``python -m repro collect --help``.
 """
 
-from repro.engine.adaptive import AdaptiveChunkSizer
 from repro.engine.cache import SamplerCache, shared_cache
 from repro.engine.collector import ResultStore, TaskStats, collect, fresh_base_seed
 from repro.engine.faults import FaultClause, FaultInjected, FaultPlan
@@ -29,13 +28,11 @@ from repro.engine.workers import (
     ChunkRunner,
     ChunkSpec,
     plan_chunks,
-    plan_chunks_adaptive,
     run_chunk,
     warm_spec,
 )
 
 __all__ = [
-    "AdaptiveChunkSizer",
     "ChunkResult",
     "ChunkRunner",
     "ChunkSpec",
@@ -50,7 +47,6 @@ __all__ = [
     "collect",
     "fresh_base_seed",
     "plan_chunks",
-    "plan_chunks_adaptive",
     "run_chunk",
     "shared_cache",
     "warm_spec",

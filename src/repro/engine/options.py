@@ -50,9 +50,11 @@ class ExecutionOptions:
 
     * ``workers`` — process-pool size (``1`` = in-process serial).
       Aggregate counts are identical for every value, by construction.
-    * ``chunk_shots`` — shots per derived-seed chunk.  Part of the
-      statistical protocol (it sets the RNG chunking and the early-stop
-      granularity), so keep it fixed across runs that share a store.
+    * ``chunk_shots`` — shots per derived-seed chunk; every chunk has
+      this size except the task's last, which takes the remainder.
+      Part of the statistical protocol (it sets the RNG chunking and
+      the early-stop granularity), so keep it fixed across runs that
+      share a store.
     * ``base_seed`` — int for reproducible runs, ``None`` (the
       default, matching every other seed entry point in the package)
       for fresh OS entropy — see the module docstring for the resume
@@ -67,13 +69,6 @@ class ExecutionOptions:
       of the run (flags restored afterwards; the registry is left
       intact for the caller to read).  Purely observational: no effect
       on the collected counts.
-    * ``adaptive_chunks`` — let an
-      :class:`~repro.engine.adaptive.AdaptiveChunkSizer` steer chunk
-      sizes toward ``target_chunk_seconds`` within
-      ``[min_chunk_shots, max_chunk_shots]``.  Changes *which* shots
-      are drawn (exactly like changing ``chunk_shots``), so it is
-      off by default and should stay consistently on or off across
-      runs that share a store.
     * ``max_chunk_retries`` — how many times a failed chunk lease
       (worker death, expired deadline, in-chunk exception) is retried
       before the chunk is quarantined as a structured failure row.
@@ -101,10 +96,6 @@ class ExecutionOptions:
         default=None, compare=False
     )
     profile: bool = False
-    adaptive_chunks: bool = False
-    target_chunk_seconds: float = 0.25
-    min_chunk_shots: int = 256
-    max_chunk_shots: int = 65_536
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
     retry_backoff: float = 0.1
@@ -117,12 +108,6 @@ class ExecutionOptions:
             raise ValueError("chunk_shots must be positive")
         if self.max_errors is not None and self.max_errors < 1:
             raise ValueError("max_errors must be positive when set")
-        if self.target_chunk_seconds <= 0:
-            raise ValueError("target_chunk_seconds must be positive")
-        if not 1 <= self.min_chunk_shots <= self.max_chunk_shots:
-            raise ValueError(
-                "need 1 <= min_chunk_shots <= max_chunk_shots"
-            )
         if self.max_chunk_retries < 0:
             raise ValueError("max_chunk_retries must be >= 0")
         if (

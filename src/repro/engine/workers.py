@@ -10,6 +10,14 @@ is also what makes the executor *fault tolerant*: a chunk whose worker
 dies is simply leased to another worker, and the replay is bitwise
 identical, so crashes can delay results but never skew counts.
 
+There is one chunk plan and one chunk path.  Every chunk holds
+``chunk_shots`` shots (the last one takes the remainder), so the split
+never depends on timing or on the worker count.  Every chunk is one
+packed sample, one decode through
+:func:`~repro.decoders.registry.packed_predictions` (native for
+decoders with a packed entry, a pack adapter for the rest) and one
+error count.
+
 Pooled execution runs on a :class:`~repro.engine.supervise.SupervisedPool`
 of directly-owned worker processes rather than a fire-and-forget
 ``multiprocessing.Pool``: every in-flight chunk is a *lease* tied to a
@@ -183,71 +191,26 @@ def plan_chunks(
     return specs
 
 
-def plan_chunks_adaptive(
-    task: Task, base_seed: int, sizer
-) -> Iterator[ChunkSpec]:
-    """Lazily plan ``task``'s chunks with sizes the ``sizer`` steers.
-
-    Each spec's shot count is whatever
-    :meth:`~repro.engine.adaptive.AdaptiveChunkSizer.next_shots`
-    reports at plan time (capped by the remaining budget), so the split
-    reacts to the latencies the consumer feeds back via ``observe``.
-    Unlike :func:`plan_chunks` the split is machine-dependent — which
-    shots get drawn depends on it — so this path is opt-in
-    (``ExecutionOptions.adaptive_chunks``).
-    """
-    task_id = task.strong_id()
-    fingerprint = task.circuit_fingerprint()
-    text = task.circuit.to_text()
-    entropy = task.seed_entropy()
-    remaining = task.max_shots
-    index = 0
-    while remaining > 0:
-        shots = min(sizer.next_shots(), remaining)
-        yield ChunkSpec(
-            task_id=task_id,
-            fingerprint=fingerprint,
-            circuit_text=text,
-            decoder=task.decoder,
-            sampler=task.sampler,
-            chunk_index=index,
-            shots=shots,
-            base_seed=base_seed,
-            task_entropy=entropy,
-        )
-        remaining -= shots
-        index += 1
-
-
 def _build_sampler(spec: ChunkSpec, circuit):
     from repro.backends import get_backend
 
     return get_backend(spec.sampler).compile(circuit)
 
 
-def _build_decoder(spec: ChunkSpec, circuit):
-    from repro.decoders import compile_decoder
+def _cached_dem(spec: ChunkSpec, circuit):
     from repro.dem import extract_dem
 
-    cache = shared_cache()
-    dem = cache.get_or_build(
+    return shared_cache().get_or_build(
         ("dem", spec.fingerprint), lambda: extract_dem(circuit)
     )
+
+
+def _build_decoder(spec: ChunkSpec, circuit):
+    from repro.decoders import compile_decoder
+
     # spec.decoder is already canonical (Task resolves aliases), so one
     # compiled decoder per (circuit, decoder) serves every alias.
-    return compile_decoder(dem, spec.decoder)
-
-
-def _decoder_is_packed(name: str) -> bool:
-    from repro.decoders import get_decoder
-
-    return get_decoder(name).info.packed
-
-
-def _sample_packed(sampler, shots: int, rng):
-    from repro.backends.protocol import packed_detector_samples
-
-    return packed_detector_samples(sampler, shots, rng)
+    return compile_decoder(_cached_dem(spec, circuit), spec.decoder)
 
 
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
@@ -257,16 +220,18 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
     ``(base_seed, task_entropy, chunk_index)`` triple — never from the
     attempt number, so a retried chunk replays the same shots.
 
-    The hot path stays in the packed domain end to end whenever the
-    decoder speaks it (or there is no decoder): packed syndromes from
-    ``sample_detectors_packed`` flow into ``decode_batch_packed``, and
-    the error count is a row-any over ``predictions XOR observables`` —
-    no unpacked uint8 matrix is ever materialized.  Counts are bitwise
-    identical to the unpacked path because the packed and unpacked views
-    draw the same RNG stream and the packed decoder predicts
-    identically; unpacked-only decoders take the original route.
+    One path for every decoder, packed end to end: one ``sample`` span
+    draws packed syndromes and observables, one ``decode`` span (absent
+    for ``decoder="none"``, which counts raw observable flips) runs
+    :func:`~repro.decoders.registry.packed_predictions` — the decoder's
+    native ``decode_batch_packed`` or the pack adapter around its
+    ``decode_batch`` — and the error count is a row-any over
+    ``predictions XOR observables``.  Packing is lossless, so counts
+    are bitwise identical to decoding the unpacked view of the stream.
     """
+    from repro.backends.protocol import packed_detector_samples
     from repro.circuit.circuit import Circuit
+    from repro.decoders.registry import packed_predictions
 
     started = time.perf_counter()
     pid = os.getpid()
@@ -295,72 +260,42 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
         rng = chunk_generator(
             spec.base_seed, spec.task_entropy, spec.chunk_index
         )
+        with obs.span("sample", chunk=spec.chunk_index) as sp:
+            sample_started = time.perf_counter()
+            detectors, observables = packed_detector_samples(
+                sampler, spec.shots, rng
+            )
+            sample_seconds = time.perf_counter() - sample_started
+            sp.set(
+                detector_bytes=int(detectors.nbytes),
+                observable_bytes=int(observables.nbytes),
+            )
         decode_seconds = 0.0
         if spec.decoder == "none":
-            with obs.span("sample", chunk=spec.chunk_index) as sp:
-                sample_started = time.perf_counter()
-                _, observables = _sample_packed(sampler, spec.shots, rng)
-                sample_seconds = time.perf_counter() - sample_started
-                sp.set(observable_bytes=int(observables.nbytes))
             errors = int(bitops.nonzero_rows_packed(observables).size)
-        elif _decoder_is_packed(spec.decoder):
-            with obs.span("sample", chunk=spec.chunk_index) as sp:
-                sample_started = time.perf_counter()
-                detectors, observables = _sample_packed(
-                    sampler, spec.shots, rng
-                )
-                sample_seconds = time.perf_counter() - sample_started
-                sp.set(
-                    detector_bytes=int(detectors.nbytes),
-                    observable_bytes=int(observables.nbytes),
-                )
+        else:
+            decoder_key = ("decoder", spec.fingerprint, spec.decoder)
             if obs.is_tracing():
-                decoder_key = ("decoder", spec.fingerprint, spec.decoder)
                 chunk_sp.set(
                     decoder_cache="hit" if decoder_key in cache else "miss"
                 )
             decoder = cache.get_or_build(
-                ("decoder", spec.fingerprint, spec.decoder),
-                lambda: _build_decoder(spec, circuit),
+                decoder_key, lambda: _build_decoder(spec, circuit)
             )
+            n_detectors = _cached_dem(spec, circuit).n_detectors
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
             with obs.span("decode", chunk=spec.chunk_index) as sp:
                 decode_started = time.perf_counter()
-                predictions = decoder.decode_batch_packed(detectors)
+                predictions = packed_predictions(
+                    decoder, detectors, n_detectors
+                )
                 errors = int(
                     np.count_nonzero(
                         bitops.xor_rows_any(predictions, observables)
                     )
                 )
                 decode_seconds = time.perf_counter() - decode_started
-                sp.set(prediction_bytes=int(predictions.nbytes), packed=True)
-        else:
-            with obs.span("sample", chunk=spec.chunk_index) as sp:
-                sample_started = time.perf_counter()
-                detectors, observables = sampler.sample_detectors(
-                    spec.shots, rng
-                )
-                sample_seconds = time.perf_counter() - sample_started
-                sp.set(
-                    detector_bytes=int(detectors.nbytes),
-                    observable_bytes=int(observables.nbytes),
-                )
-            if obs.is_tracing():
-                decoder_key = ("decoder", spec.fingerprint, spec.decoder)
-                chunk_sp.set(
-                    decoder_cache="hit" if decoder_key in cache else "miss"
-                )
-            decoder = cache.get_or_build(
-                ("decoder", spec.fingerprint, spec.decoder),
-                lambda: _build_decoder(spec, circuit),
-            )
-            faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
-            with obs.span("decode", chunk=spec.chunk_index) as sp:
-                decode_started = time.perf_counter()
-                predictions = decoder.decode_batch(detectors)
-                errors = int((predictions != observables).any(axis=1).sum())
-                decode_seconds = time.perf_counter() - decode_started
-                sp.set(prediction_bytes=int(predictions.nbytes), packed=False)
+                sp.set(prediction_bytes=int(predictions.nbytes))
         chunk_sp.set(errors=errors)
     finished = time.perf_counter()
     seconds = finished - started

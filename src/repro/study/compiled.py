@@ -161,21 +161,19 @@ class CompiledCircuit:
     def decode_packed(self, shots: int, seed_or_rng=None):
         """Sample and decode one batch entirely in the packed domain.
 
-        Returns packed ``(predictions, observables)``.  Requires a
-        decoder that speaks the packed wire format (the registry's
-        ``packed`` capability, e.g. ``compiled-matching``); predictions
-        are bitwise identical to packing :meth:`decode`'s output.
+        Returns packed ``(predictions, observables)``, bitwise identical
+        to packing :meth:`decode`'s output for every decoder: the
+        decoder's native ``decode_batch_packed`` runs when it has one,
+        the pack adapter around ``decode_batch`` otherwise (see
+        :func:`~repro.decoders.registry.packed_predictions`).
         """
-        from repro.decoders import get_decoder
+        from repro.decoders.registry import packed_predictions
 
-        if not get_decoder(self.decoder_name).info.packed:
-            raise ValueError(
-                f"decoder {self.decoder_name!r} has no packed batch "
-                f"path; use decode() or compile with a packed-capable "
-                f"decoder such as 'compiled-matching'"
-            )
         detectors, observables = self.detect_packed(shots, seed_or_rng)
-        return self.decoder.decode_batch_packed(detectors), observables
+        predictions = packed_predictions(
+            self.decoder, detectors, self.dem.n_detectors
+        )
+        return predictions, observables
 
     def decode(self, shots: int, seed_or_rng=None):
         """Sample ``shots`` detector rows and decode them in one batch.
@@ -275,11 +273,9 @@ class CompiledCircuit:
                     f"samples one in-process batch, outside the engine's "
                     f"chunked early-stopping path"
                 )
-            # The in-process batch stays in the packed domain end to
-            # end when it can (same hot path the engine workers run);
-            # the packed and unpacked views of one stream are bitwise
-            # identical, so the estimate is unchanged either way.
-            from repro.decoders import get_decoder
+            # The in-process batch runs the engine workers' packed hot
+            # path; the packed and unpacked views of one stream are
+            # bitwise identical, so the estimate is unchanged by it.
             from repro.gf2 import bitops
 
             if self.decoder_name == NO_DECODER:
@@ -287,12 +283,8 @@ class CompiledCircuit:
                 return float(
                     bitops.nonzero_rows_packed(observables).size / shots
                 )
-            if get_decoder(self.decoder_name).info.packed:
-                predictions, observables = self.decode_packed(shots, seed)
-                failures = bitops.xor_rows_any(predictions, observables)
-                return float(failures.mean())
-            predictions, observables = self.decode(shots, seed)
-            failures = (predictions != observables).any(axis=1)
+            predictions, observables = self.decode_packed(shots, seed)
+            failures = bitops.xor_rows_any(predictions, observables)
             return float(failures.mean())
         stats = self.collect(
             ExecutionOptions(base_seed=seed).replace(

@@ -213,7 +213,7 @@ class Sweep:
         """Run the grid through the collection engine.
 
         ``options`` carries the execution policy (workers, chunk size,
-        base seed, store, adaptive sizing, ...); keyword
+        base seed, store, fault policy, ...); keyword
         ``overrides`` patch it in place
         (``sweep.collect(workers=4, store="out.jsonl")``).  Pooled runs
         warm every worker per distinct circuit before its chunks flow

@@ -272,6 +272,40 @@ class TestPACK002:
         )})
         assert rules_found(result) == ["PACK002"]
 
+    def test_unpacked_into_decode_adapter_flagged(self, tmp_path):
+        result = scan(tmp_path, {"mix.py": (
+            "from repro.decoders import packed_predictions\n"
+            "def run(sampler, decoder, shots, width):\n"
+            "    rows = sampler.sample_detectors(shots)\n"
+            "    return packed_predictions(decoder, rows, width)\n"
+        )})
+        assert rules_found(result) == ["PACK002"]
+        assert "'rows'" in result.findings[0].message
+        assert "packed_predictions()" in result.findings[0].message
+
+    def test_decode_adapter_output_is_packed(self, tmp_path):
+        result = scan(tmp_path, {"mix.py": (
+            "from repro.decoders import packed_predictions\n"
+            "from repro.gf2.bitops import pack_rows\n"
+            "def run(sampler, decoder, shots, width):\n"
+            "    rows = sampler.sample_detectors_packed(shots)\n"
+            "    predictions = packed_predictions(decoder, rows, width)\n"
+            "    return pack_rows(predictions)\n"
+        )})
+        assert rules_found(result) == ["PACK002"]
+        assert "'predictions'" in result.findings[0].message
+
+    def test_decode_adapter_packed_input_clean(self, tmp_path):
+        result = scan(tmp_path, {"mix.py": (
+            "from repro.decoders import packed_predictions\n"
+            "from repro.gf2.bitops import xor_rows_any\n"
+            "def run(sampler, decoder, shots, width):\n"
+            "    rows, obs = sampler.sample_detectors_packed(shots)\n"
+            "    predictions = packed_predictions(decoder, rows, width)\n"
+            "    return xor_rows_any(predictions, obs)\n"
+        )})
+        assert result.findings == []
+
     def test_explicit_conversion_clean(self, tmp_path):
         result = scan(tmp_path, {"mix.py": (
             "from repro.gf2.bitops import pack_rows, popcount_rows\n"

@@ -3,24 +3,35 @@
 The packed wire format is only allowed to change *representation*,
 never a single bit: for any circuit and seed,
 ``sample_detectors_packed`` must equal the row-packing of
-``sample_detectors``, and ``decode_batch_packed`` must equal the
-row-packing of ``decode_batch`` — including the zero-shot and
-all-zero-syndrome edges the hot path short-circuits.
+``sample_detectors``, and every decoder's packed entry
+(``packed_predictions``: native ``decode_batch_packed`` or the pack
+adapter) must equal the row-packing of ``decode_batch`` — including the
+zero-shot and all-zero-syndrome edges the hot path short-circuits.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import available_backends, compile_backend, get_backend
-from repro.decoders import available_decoders, compile_decoder, get_decoder
+from repro.decoders import available_decoders, compile_decoder, packed_predictions
 from repro.gf2 import bitops
 from repro.qec import repetition_code_memory, surface_code_dem
 from tests.helpers import append_random_annotations, random_clifford_circuit
 
-PACKED_DECODERS = tuple(
-    name for name in available_decoders() if get_decoder(name).info.packed
-)
+PACKED_DECODERS = available_decoders()
+
+
+@lru_cache(maxsize=None)
+def surface_dem():
+    return surface_code_dem(3, 2, 0.01)
+
+
+@lru_cache(maxsize=None)
+def compiled(decoder_name: str):
+    return compile_decoder(surface_dem(), decoder_name)
 
 
 def random_annotated_circuit(seed: int):
@@ -77,52 +88,98 @@ class TestDecoderPackedEquivalence:
     @given(seed=st.integers(0, 2**32 - 1))
     @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
     def test_packed_equals_packing_unpacked(self, decoder_name, seed):
-        dem = surface_code_dem(3, 2, 0.01)
-        decoder = compile_decoder(dem, decoder_name)
+        dem = surface_dem()
+        decoder = compiled(decoder_name)
         syndromes, _ = dem.sample(200, np.random.default_rng(seed))
         # Force the edges the packed path special-cases: all-zero rows
         # (short-circuited before dedupe) and duplicates.
         syndromes[:11] = 0
         syndromes[11:22] = syndromes[22:33]
         reference = decoder.decode_batch(syndromes)
-        packed = decoder.decode_batch_packed(bitops.pack_rows(syndromes))
+        packed = packed_predictions(
+            decoder, bitops.pack_rows(syndromes), dem.n_detectors
+        )
         assert np.array_equal(bitops.pack_rows(reference), packed)
 
     @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
     def test_zero_shot_edge(self, decoder_name):
-        dem = surface_code_dem(3, 2, 0.01)
-        decoder = compile_decoder(dem, decoder_name)
+        dem = surface_dem()
         n_words = bitops.words_for(dem.n_detectors)
-        out = decoder.decode_batch_packed(np.zeros((0, n_words), np.uint64))
+        out = packed_predictions(
+            compiled(decoder_name),
+            np.zeros((0, n_words), np.uint64),
+            dem.n_detectors,
+        )
         assert out.shape == (0, bitops.words_for(dem.n_observables))
         assert out.dtype == np.uint64
 
     @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
     def test_all_zero_syndromes_edge(self, decoder_name):
-        dem = surface_code_dem(3, 2, 0.01)
-        decoder = compile_decoder(dem, decoder_name)
+        dem = surface_dem()
+        decoder = compiled(decoder_name)
         n_words = bitops.words_for(dem.n_detectors)
-        out = decoder.decode_batch_packed(np.zeros((37, n_words), np.uint64))
+        out = packed_predictions(
+            decoder, np.zeros((37, n_words), np.uint64), dem.n_detectors
+        )
         assert out.shape[0] == 37 and not out.any()
         reference = decoder.decode_batch(
             np.zeros((37, dem.n_detectors), np.uint8)
         )
         assert np.array_equal(bitops.pack_rows(reference), out)
 
+    @pytest.mark.parametrize("delta", [-3, 1], ids=["narrower", "wider"])
+    @pytest.mark.parametrize("entry", ["unpacked", "packed"])
     @pytest.mark.parametrize("decoder_name", PACKED_DECODERS)
-    def test_wrong_width_rejected(self, decoder_name):
-        dem = surface_code_dem(3, 2, 0.01)
-        decoder = compile_decoder(dem, decoder_name)
-        n_words = bitops.words_for(dem.n_detectors)
-        with pytest.raises(ValueError, match="packed"):
-            decoder.decode_batch_packed(
-                np.zeros((4, n_words + 1), np.uint64)
+    def test_wrong_width_rejected(self, decoder_name, entry, delta):
+        dem = surface_dem()
+        decoder = compiled(decoder_name)
+        if entry == "unpacked":
+            syndromes = np.zeros((4, dem.n_detectors + delta), np.uint8)
+            # A stray bit past the last detector must not be read as
+            # the boundary node (or any node).
+            syndromes[:, -1] = 1
+            with pytest.raises(ValueError, match="expected syndromes"):
+                decoder.decode_batch(syndromes)
+        else:
+            n_words = bitops.words_for(dem.n_detectors) + (
+                1 if delta > 0 else -1
             )
+            with pytest.raises(ValueError, match="expected packed"):
+                packed_predictions(
+                    decoder,
+                    np.zeros((4, n_words), np.uint64),
+                    dem.n_detectors,
+                )
 
-    def test_registry_flag_matches_capability(self):
-        for name in available_decoders():
-            dem = surface_code_dem(3, 2, 0.01)
-            decoder = compile_decoder(dem, name)
-            assert get_decoder(name).info.packed == hasattr(
-                decoder, "decode_batch_packed"
-            ), name
+
+class _SpyDecoder:
+    """Records which batch entry the adapter called."""
+
+    def __init__(self, packed: bool):
+        self.calls: list[str] = []
+        if packed:
+            self.decode_batch_packed = self._decode_batch_packed
+
+    def decode_batch(self, syndromes):
+        self.calls.append("decode_batch")
+        return np.asarray(syndromes, np.uint8)[:, :1]
+
+    def _decode_batch_packed(self, syndromes):
+        self.calls.append("decode_batch_packed")
+        return np.asarray(syndromes, np.uint64)[:, :1] & np.uint64(1)
+
+
+class TestPackedAdapter:
+    def test_native_packed_entry_is_called(self):
+        spy = _SpyDecoder(packed=True)
+        syndromes = bitops.pack_rows(np.eye(5, dtype=np.uint8))
+        out = packed_predictions(spy, syndromes, 5)
+        assert spy.calls == ["decode_batch_packed"]
+        assert np.array_equal(out, syndromes & np.uint64(1))
+
+    def test_unpacked_decoder_goes_through_adapter(self):
+        spy = _SpyDecoder(packed=False)
+        rows = np.eye(5, dtype=np.uint8)
+        out = packed_predictions(spy, bitops.pack_rows(rows), 5)
+        assert spy.calls == ["decode_batch"]
+        assert np.array_equal(out, bitops.pack_rows(rows[:, :1]))

@@ -14,6 +14,7 @@ import os
 import pytest
 
 import repro.obs as obs
+from repro.decoders import available_decoders
 from repro.engine import ChunkRunner, Task, collect, plan_chunks
 from repro.engine.collector import ResultStore
 from repro.engine.faults import (
@@ -29,13 +30,15 @@ from repro.engine.faults import (
 from repro.qec import repetition_code_memory
 
 
-def make_task(max_shots=4_000, p=0.02, distance=3):
+def make_task(
+    max_shots=4_000, p=0.02, distance=3, decoder="compiled-matching"
+):
     circuit = repetition_code_memory(
         distance, rounds=3,
         data_flip_probability=p, measure_flip_probability=p,
     )
     return Task(
-        circuit, decoder="compiled-matching", sampler="frame",
+        circuit, decoder=decoder, sampler="frame",
         max_shots=max_shots, metadata={"p": p},
     )
 
@@ -177,6 +180,23 @@ def test_faulted_pooled_counts_match_serial(fault):
         == [s.task_id for s in serial]
     )
     assert all(s.failed_chunks == 0 for s in faulted)
+
+
+@pytest.mark.parametrize(
+    "decoder", list(available_decoders()) + ["none"]
+)
+def test_faulted_counts_match_serial_every_decoder(decoder):
+    """Every decoder runs the one packed chunk path, so a killed worker
+    leaves its counts bitwise identical too."""
+    task = make_task(max_shots=2_000, p=0.05, decoder=decoder)
+    serial = collect([task], base_seed=5, workers=1, chunk_shots=400)
+    faulted = collect(
+        [task], base_seed=5, workers=2, chunk_shots=400,
+        **FAULT_CASES["kill"],
+    )
+    assert counts(faulted) == counts(serial)
+    assert serial[0].errors > 0
+    assert faulted[0].failed_chunks == 0
 
 
 def test_worker_death_metrics_recorded():

@@ -1,11 +1,11 @@
 """The one parent-worker wire: pickled specs out, pickled results back.
 
 Pooled runs have no other channel, so these pin down that the wire is
-lossless (serial == pooled bitwise for every backend/decoder pair, and a
-pickled spec replays the same shots), that its byte accounting is the
-pickled size, that the runner reclaims its workers on every exit path,
-and that the knobs of the removed shared-memory wire fail loudly
-instead of being ignored.
+lossless (serial == pooled bitwise for every backend/decoder pair,
+``none`` included, and a pickled spec replays the same shots), that its
+byte accounting is the pickled size, that the runner reclaims its
+workers on every exit path, and that the knobs of the removed
+shared-memory wire fail loudly instead of being ignored.
 """
 
 import importlib
@@ -55,7 +55,7 @@ def worker_processes(runner):
 GRID = [
     (backend, decoder)
     for backend in ("frame", "frame-interp", "symbolic")
-    for decoder in ("compiled-matching", "matching")
+    for decoder in ("compiled-matching", "matching", "lookup", "none")
 ]
 
 

@@ -12,6 +12,7 @@ from repro.qec import repetition_code_memory
 from repro.study import CompiledCircuit
 
 SEED = 7
+DECODERS = ["compiled-matching", "matching", "lookup"]
 
 
 def make_circuit(p=0.08):
@@ -214,30 +215,23 @@ class TestPackedStudyPath:
         assert np.array_equal(bitops.pack_rows(det), det_p)
         assert np.array_equal(bitops.pack_rows(obs), obs_p)
 
-    def test_decode_packed_matches_decode_bitwise(self):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_decode_packed_matches_decode_bitwise(self, decoder):
+        """Every decoder decodes packed (natively or through the pack
+        adapter), bitwise equal to packing its ``decode``."""
         from repro.gf2 import bitops
 
-        compiled = make_circuit().compile(
-            sampler="frame", decoder="compiled-matching"
-        )
+        compiled = make_circuit().compile(sampler="frame", decoder=decoder)
         predictions, observables = compiled.decode(300, SEED)
         packed_pred, packed_obs = compiled.decode_packed(300, SEED)
         assert np.array_equal(bitops.pack_rows(predictions), packed_pred)
         assert np.array_equal(bitops.pack_rows(observables), packed_obs)
 
-    def test_decode_packed_requires_packed_decoder(self):
-        compiled = make_circuit().compile(
-            sampler="frame", decoder="matching"
-        )
-        with pytest.raises(ValueError, match="packed"):
-            compiled.decode_packed(10, SEED)
-
-    def test_generator_rate_unchanged_by_packed_rewire(self):
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_generator_rate_unchanged_by_packed_rewire(self, decoder):
         """The packed Generator path must reproduce the historical
         unpacked estimate exactly (same stream, bitwise-equal views)."""
-        compiled = make_circuit().compile(
-            sampler="frame", decoder="compiled-matching"
-        )
+        compiled = make_circuit().compile(sampler="frame", decoder=decoder)
         rate = compiled.logical_error_rate(400, np.random.default_rng(SEED))
         predictions, observables = compiled.decode(
             400, np.random.default_rng(SEED)
