@@ -26,6 +26,10 @@ from repro.gf2 import bitops
 class SyndromeDecoder(Protocol):
     """What every compiled decoder must answer."""
 
+    #: Detector count of the DEM it was compiled from: the syndrome
+    #: width ``decode_batch`` accepts.
+    n_detectors: int
+
     def decode(self, syndrome: np.ndarray) -> np.ndarray:
         """Predicted observable flips: uint8 array of shape (n_obs,)."""
         ...

@@ -197,20 +197,17 @@ def _build_sampler(spec: ChunkSpec, circuit):
     return get_backend(spec.sampler).compile(circuit)
 
 
-def _cached_dem(spec: ChunkSpec, circuit):
-    from repro.dem import extract_dem
-
-    return shared_cache().get_or_build(
-        ("dem", spec.fingerprint), lambda: extract_dem(circuit)
-    )
-
-
 def _build_decoder(spec: ChunkSpec, circuit):
     from repro.decoders import compile_decoder
+    from repro.dem import extract_dem
 
+    cache = shared_cache()
+    dem = cache.get_or_build(
+        ("dem", spec.fingerprint), lambda: extract_dem(circuit)
+    )
     # spec.decoder is already canonical (Task resolves aliases), so one
     # compiled decoder per (circuit, decoder) serves every alias.
-    return compile_decoder(_cached_dem(spec, circuit), spec.decoder)
+    return compile_decoder(dem, spec.decoder)
 
 
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
@@ -282,12 +279,11 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
             decoder = cache.get_or_build(
                 decoder_key, lambda: _build_decoder(spec, circuit)
             )
-            n_detectors = _cached_dem(spec, circuit).n_detectors
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
             with obs.span("decode", chunk=spec.chunk_index) as sp:
                 decode_started = time.perf_counter()
                 predictions = packed_predictions(
-                    decoder, detectors, n_detectors
+                    decoder, detectors, decoder.n_detectors
                 )
                 errors = int(
                     np.count_nonzero(
@@ -295,7 +291,12 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
                     )
                 )
                 decode_seconds = time.perf_counter() - decode_started
-                sp.set(prediction_bytes=int(predictions.nbytes))
+                sp.set(
+                    prediction_bytes=int(predictions.nbytes),
+                    # False: the pack adapter's unpack/pack pass is
+                    # part of this span's time.
+                    native=hasattr(decoder, "decode_batch_packed"),
+                )
         chunk_sp.set(errors=errors)
     finished = time.perf_counter()
     seconds = finished - started

@@ -64,11 +64,19 @@ class TestSingleDecodePath:
         specs = plan_chunks(make_task(decoder, max_shots=300), 5, 100)
         for spec in specs:
             run_chunk(spec)
-        names = [span.name for span in obs.drain_spans()]
+        spans = obs.drain_spans()
+        names = [span.name for span in spans]
         assert names.count("chunk") == len(specs)
         assert names.count("sample") == len(specs)
         decodes = 0 if decoder == "none" else len(specs)
         assert names.count("decode") == decodes
+        # The decode span says whether the pack adapter ran inside it.
+        native = decoder == "compiled-matching"
+        assert all(
+            span.attrs["native"] is native
+            for span in spans
+            if span.name == "decode"
+        )
 
     def test_decoder_info_has_no_packed_flag(self):
         with pytest.raises(TypeError):
@@ -76,7 +84,11 @@ class TestSingleDecodePath:
 
     def test_decoders_listing_drops_packed_flag(self, capsys):
         assert cli.main(["decoders"]) == 0
-        assert "packed" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines
+        for line in lines:
+            flags = line[line.index("[") + 1:line.index("]")].split(", ")
+            assert "packed" not in flags
 
 
 class TestRemovedAdaptiveKnobs:
