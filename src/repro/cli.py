@@ -204,18 +204,18 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_backends(args: argparse.Namespace) -> int:
     for name in available_backends():
-        info = get_backend(name).info
+        backend = get_backend(name).info
         flags = []
-        if info.compile_once:
+        if backend.compile_once:
             flags.append("compile-once")
-        flags.append(f"cost:per-{info.per_shot_cost}")
-        if info.packed_native:
+        flags.append(f"cost:per-{backend.per_shot_cost}")
+        if backend.packed_native:
             flags.append("packed-native")
-        if not info.supports_feedback:
+        if not backend.supports_feedback:
             flags.append("no-feedback")
-        if info.oracle:
+        if backend.oracle:
             flags.append("oracle")
-        print(f"{name:<14} [{', '.join(flags)}]  {info.description}")
+        print(f"{name:<14} [{', '.join(flags)}]  {backend.description}")
     return 0
 
 
