@@ -2,9 +2,8 @@
 :class:`AnalysisResult`.
 
 The JSON report is a pure function of the findings — deliberately no
-timings — so a cold run and a warm cached run of the same tree are
-byte-identical (CI asserts this; wall-clock numbers live in the text
-reporter and the CLI only).
+timings — so two runs of the same tree are byte-identical (wall-clock
+numbers live in the text reporter and the CLI only).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from repro.analysis.core import AnalysisResult, Finding, sort_findings
 from repro.analysis.rules import all_rules
 
 #: Bumped when the JSON layout changes incompatibly; CI consumers pin
-#: it.  v2: dropped the non-deterministic "seconds" field (cold/warm
+#: it.  v2: dropped the non-deterministic "seconds" field (run-to-run
 #: byte-identity).
 JSON_SCHEMA_VERSION = 2
 

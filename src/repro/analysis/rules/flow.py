@@ -2,10 +2,7 @@
 
 A :class:`FlowRule` checks one target file at a time against solved
 CFG states and (for interprocedural domains) the resolved summary
-table, and caches its findings per file: the key is the file's content
-hash plus the domain's resolved-table hash plus the rule version, so a
-warm run skips every file whose own bytes *and* whose view of the rest
-of the package are unchanged.
+table.
 
 The helpers here answer the one sharp question every flow rule hits:
 which expressions does a CFG *element* actually evaluate?  Compound
@@ -19,7 +16,6 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.cache import content_hash
 from repro.analysis.core import Finding, Rule
 from repro.analysis.index import SourceFile, SourceIndex, dotted_parts
 from repro.analysis.summaries import (
@@ -109,10 +105,7 @@ def describe_expr(expr: ast.expr) -> str:
 
 
 class FlowRule(Rule):
-    """Base class for CFG/dataflow rules with per-file findings cache."""
-
-    #: Bump when the rule's logic changes (part of the cache key).
-    version = 1
+    """Base class for CFG/dataflow rules, checked one file at a time."""
 
     #: The rule's :class:`SummaryAnalysis` domain, or None for rules
     #: whose marks never cross function boundaries.
@@ -121,42 +114,10 @@ class FlowRule(Rule):
     def check(self, index: SourceIndex) -> Iterator[Finding]:
         context = get_context(index)
         resolved: dict[str, frozenset[str]] | None = None
-        table_hash = ""
         if self.domain is not None:
             resolved = context.summaries(self.domain)
-            table_hash = context.table_hash(self.domain)
         for file in index.target_files():
-            yield from self._file_findings(
-                index, context, file, resolved, table_hash
-            )
-
-    def _file_findings(
-        self,
-        index: SourceIndex,
-        context: DataflowContext,
-        file: SourceFile,
-        resolved: dict[str, frozenset[str]] | None,
-        table_hash: str,
-    ) -> list[Finding]:
-        section = f"findings-{self.id}"
-        key = content_hash(
-            f"{context.file_hash(file)}:{table_hash}:v{self.version}"
-        )
-        cached = context.cache.get(section, key)
-        if isinstance(cached, dict) and isinstance(
-            cached.get("findings"), list
-        ):
-            try:
-                return [Finding(**entry) for entry in cached["findings"]]
-            except TypeError:
-                pass  # stale shape: recompute
-        findings = list(self.check_file(index, context, file, resolved))
-        context.cache.put(
-            section,
-            key,
-            {"findings": [finding.to_dict() for finding in findings]},
-        )
-        return findings
+            yield from self.check_file(index, context, file, resolved)
 
     def check_file(
         self,

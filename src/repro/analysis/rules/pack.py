@@ -167,7 +167,6 @@ class PackProvenanceAnalysis(SummaryAnalysis):
     """Marks: ``packed`` / ``unpacked`` row provenance."""
 
     domain_name = "pack"
-    domain_version = 1
 
     def intrinsic_call_marks(
         self, state, call: ast.Call
@@ -191,7 +190,6 @@ class PackedFlowRule(FlowRule):
         "reach an unpacked-domain consumer (and vice versa); both are "
         "plain ndarrays, so the mix is silent."
     )
-    version = 1
     domain = PackProvenanceAnalysis
 
     def check_file(

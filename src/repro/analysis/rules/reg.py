@@ -1,7 +1,8 @@
 """REG001 — backends/decoders go through their registries.
 
-PR 2/PR 3 put every sampler and decoder behind name-keyed registries
-with capability flags (``packed``, ``batched``, ``graphlike_only``…):
+Every sampler and decoder sits behind a name-keyed registry
+(:class:`repro.registry.Registry`) with capability flags
+(``packed_native``, ``batched``, ``graphlike_only``…):
 the engine, CLI, harness and examples all resolve by name, so adding
 an implementation is one ``register_*`` call.  Direct instantiation
 outside the registry bypasses alias canonicalization, capability

@@ -197,7 +197,6 @@ class ResourcePathRule(FlowRule):
         "with/finally leaks on early returns and error paths; leaked "
         "segments outlive the process in /dev/shm."
     )
-    version = 1
     domain = None  # obligations never cross function boundaries
 
     def check_file(

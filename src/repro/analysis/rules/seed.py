@@ -64,7 +64,6 @@ class SeedTaintAnalysis(SummaryAnalysis):
     (set-typed value — becomes entropy when iterated)."""
 
     domain_name = "seed"
-    domain_version = 1
 
     def intrinsic_call_marks(
         self, state, call: ast.Call
@@ -136,7 +135,6 @@ class SeedTaintRule(FlowRule):
         "clocks, os.urandom, unseeded default_rng() and set iteration "
         "order make them run-dependent and break resume."
     )
-    version = 1
     domain = SeedTaintAnalysis
 
     def check_file(

@@ -55,7 +55,6 @@ class WireAnalysis(SummaryAnalysis):
     """Marks: ``closure``, ``lock``, ``array``."""
 
     domain_name = "wire"
-    domain_version = 1
 
     def intrinsic_call_marks(
         self, state, call: ast.Call
@@ -91,7 +90,6 @@ class WireContractRule(FlowRule):
         "ChunkSpec must stay header-only (str/int); closures, locks, "
         "and live arrays break or bloat the pickled pool wire."
     )
-    version = 1
     domain = WireAnalysis
 
     def check_file(

@@ -3,20 +3,19 @@
 A flow-sensitive rule wants to know what a *call* returns: does
 ``helper()`` hand back a packed array, an unseeded entropy value?  The
 answer is the callee's **summary** — the set of marks its return value
-may carry — computed in two phases so it caches per module:
+may carry — computed in two phases:
 
-1. **Local equations** (expensive, per-module, cacheable): run the
-   domain's :class:`SummaryAnalysis` over each function's CFG with
-   callee results left *symbolic* — a call resolved to an indexed
-   function contributes a ``ret:<module:qualname>`` pseudo-mark
-   instead of real marks.  The result depends only on the module's own
-   source, so it is cached keyed by the module's content hash.
-2. **Resolution** (cheap, whole-tree): substitute the symbolic
-   references to a fixpoint over the call graph.  Cycles converge
-   because marks only accumulate.
+1. **Local equations** (per module): run the domain's
+   :class:`SummaryAnalysis` over each function's CFG with callee
+   results left *symbolic* — a call resolved to an indexed function
+   contributes a ``ret:<module:qualname>`` pseudo-mark instead of real
+   marks.
+2. **Resolution** (whole tree): substitute the symbolic references to a
+   fixpoint over the call graph.  Cycles converge because marks only
+   accumulate.
 
-:class:`DataflowContext` owns the memoized CFGs, per-domain summary
-tables and their content hashes; one context is attached per
+:class:`DataflowContext` owns the memoized CFGs and per-domain summary
+tables; one context is attached per
 :class:`~repro.analysis.index.SourceIndex` so every dataflow rule in a
 run shares the work.
 """
@@ -24,10 +23,8 @@ run shares the work.
 from __future__ import annotations
 
 import ast
-import json
 import weakref
 
-from repro.analysis.cache import AnalysisCache, content_hash
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.dataflow import EMPTY_MARKS, MarkAnalysis
 from repro.analysis.index import FunctionInfo, SourceFile, SourceIndex
@@ -40,9 +37,9 @@ _SYMBOLIC = "ret:"
 class SummaryAnalysis(MarkAnalysis):
     """Mark analysis that resolves indexed calls through summaries.
 
-    Subclasses are the *domains*: set ``domain_name``/``domain_version``
-    and override :meth:`intrinsic_call_marks` (and, when the domain
-    needs them, the literal/def/iteration hooks of
+    Subclasses are the *domains*: set ``domain_name`` and override
+    :meth:`intrinsic_call_marks` (and, when the domain needs them, the
+    literal/def/iteration hooks of
     :class:`~repro.analysis.dataflow.MarkAnalysis`).
 
     ``resolved=None`` puts the instance in *summary phase*: calls that
@@ -51,10 +48,8 @@ class SummaryAnalysis(MarkAnalysis):
     the same calls yield the callee's final marks.
     """
 
-    #: Cache partition + staleness knobs; bump the version whenever the
-    #: domain's semantics change.
+    #: Key of the domain's summary table in the shared context.
     domain_name = "marks"
-    domain_version = 1
 
     def __init__(
         self,
@@ -139,16 +134,13 @@ def _resolve(local: dict[str, frozenset[str]]) -> dict[str, frozenset[str]]:
 
 
 class DataflowContext:
-    """Shared, memoized dataflow state for one index: CFGs, per-domain
-    summary tables, content hashes, and the (optional) disk cache."""
+    """Shared, memoized dataflow state for one index: CFGs and
+    per-domain summary tables."""
 
-    def __init__(self, index: SourceIndex, cache: AnalysisCache | None):
+    def __init__(self, index: SourceIndex):
         self.index = index
-        self.cache = cache if cache is not None else AnalysisCache(None)
         self._cfgs: dict[str, CFG] = {}
-        self._file_hashes: dict[str, str] = {}
         self._tables: dict[str, dict[str, frozenset[str]]] = {}
-        self._table_hashes: dict[str, str] = {}
 
     def cfg(self, info: FunctionInfo) -> CFG:
         cfg = self._cfgs.get(info.key)
@@ -156,63 +148,23 @@ class DataflowContext:
             cfg = self._cfgs[info.key] = build_cfg(info.node)
         return cfg
 
-    def file_hash(self, file: SourceFile) -> str:
-        digest = self._file_hashes.get(file.rel)
-        if digest is None:
-            digest = self._file_hashes[file.rel] = content_hash(file.text)
-        return digest
-
-    def _domain_key(self, domain: type[SummaryAnalysis]) -> str:
-        return f"{domain.domain_name}-v{domain.domain_version}"
-
-    def _local_summaries(
-        self, domain: type[SummaryAnalysis], file: SourceFile
-    ) -> dict[str, list[str]]:
-        section = f"locals-{self._domain_key(domain)}"
-        key = self.file_hash(file)
-        cached = self.cache.get(section, key)
-        if isinstance(cached, dict) and isinstance(
-            cached.get("functions"), dict
-        ):
-            return cached["functions"]
-        analysis = domain(file, self.index, resolved=None)
-        functions = {
-            info.key: sorted(_function_returns(analysis, self.cfg(info)))
-            for info in file.functions.values()
-        }
-        self.cache.put(section, key, {"functions": functions})
-        return functions
-
     def summaries(
         self, domain: type[SummaryAnalysis]
     ) -> dict[str, frozenset[str]]:
         """The resolved summary table for ``domain`` (whole index —
         context files included, so cross-module calls resolve even
         when only a subtree is being analyzed)."""
-        name = self._domain_key(domain)
-        table = self._tables.get(name)
+        table = self._tables.get(domain.domain_name)
         if table is None:
             local: dict[str, frozenset[str]] = {}
             for file in self.index.files:
-                for key, marks in self._local_summaries(
-                    domain, file
-                ).items():
-                    local[key] = frozenset(marks)
-            table = self._tables[name] = _resolve(local)
-            self._table_hashes[name] = content_hash(
-                json.dumps(
-                    {key: sorted(marks) for key, marks in table.items()},
-                    sort_keys=True,
-                )
-            )
+                analysis = domain(file, self.index, resolved=None)
+                for info in file.functions.values():
+                    local[info.key] = _function_returns(
+                        analysis, self.cfg(info)
+                    )
+            table = self._tables[domain.domain_name] = _resolve(local)
         return table
-
-    def table_hash(self, domain: type[SummaryAnalysis]) -> str:
-        """Content hash of the resolved table (part of findings keys)."""
-        name = self._domain_key(domain)
-        if name not in self._table_hashes:
-            self.summaries(domain)
-        return self._table_hashes[name]
 
 
 _CONTEXTS: "weakref.WeakKeyDictionary[SourceIndex, DataflowContext]" = (
@@ -221,12 +173,8 @@ _CONTEXTS: "weakref.WeakKeyDictionary[SourceIndex, DataflowContext]" = (
 
 
 def get_context(index: SourceIndex) -> DataflowContext:
-    """The index's shared dataflow context (created on first use; the
-    runner attaches the disk cache as ``index.analysis_cache``)."""
+    """The index's shared dataflow context (created on first use)."""
     context = _CONTEXTS.get(index)
     if context is None:
-        context = DataflowContext(
-            index, getattr(index, "analysis_cache", None)
-        )
-        _CONTEXTS[index] = context
+        context = _CONTEXTS[index] = DataflowContext(index)
     return context

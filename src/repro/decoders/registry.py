@@ -4,7 +4,8 @@ The mirror of :mod:`repro.backends` for the decoding side of the
 pipeline: the engine workers, the experiment harness, the CLI and the
 examples all resolve decoders through this registry, so adding a decoder
 (say, a union-find or belief-propagation decoder) is one
-:func:`register_decoder` call, not a code fork across five layers.
+:func:`register_decoder` call, not a code fork across five layers.  Name
+and alias resolution is the shared :class:`repro.registry.Registry`.
 
 A decoder only has to answer the unpacked protocol; the engine decodes
 every decoder in the packed domain through :func:`packed_predictions`,
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.dem.model import DetectorErrorModel
 from repro.gf2 import bitops
+from repro.registry import Registry
 
 
 @runtime_checkable
@@ -78,8 +80,7 @@ class RegisteredDecoder:
         return self.factory(dem)
 
 
-_REGISTRY: dict[str, RegisteredDecoder] = {}
-_ALIASES: dict[str, str] = {}
+_DECODERS: Registry[RegisteredDecoder] = Registry("decoder")
 
 
 def register_decoder(
@@ -87,56 +88,21 @@ def register_decoder(
     factory: Callable[[DetectorErrorModel], SyndromeDecoder],
     aliases: Iterable[str] = (),
 ) -> RegisteredDecoder:
-    """Register a decoder under ``info.name`` (plus optional aliases).
-
-    Re-registering a name replaces it (tests swap in instrumented
-    decoders); aliases may not shadow a canonical name.
-    """
-    aliases = tuple(aliases)
-    if _ALIASES.get(info.name, info.name) != info.name:
-        raise ValueError(
-            f"name {info.name!r} is already an alias for "
-            f"{_ALIASES[info.name]!r}"
-        )
-    for alias in aliases:
-        if alias in _REGISTRY:
-            raise ValueError(f"alias {alias!r} shadows a registered decoder")
-        if _ALIASES.get(alias, info.name) != info.name:
-            raise ValueError(
-                f"alias {alias!r} already points to {_ALIASES[alias]!r}"
-            )
-    decoder = RegisteredDecoder(info=info, factory=factory)
-    _REGISTRY[info.name] = decoder
-    for alias in aliases:
-        _ALIASES[alias] = info.name
-    return decoder
+    """Register a decoder under ``info.name`` (plus optional aliases);
+    the alias rules are :meth:`repro.registry.Registry.register`'s."""
+    return _DECODERS.register(
+        info.name, RegisteredDecoder(info, factory), aliases
+    )
 
 
-def canonical_name(name: str) -> str:
-    """Resolve a decoder name or alias to its canonical name.
-
-    Raises ``KeyError`` naming the known decoders on an unknown name.
-    """
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        known = ", ".join(sorted(set(_REGISTRY) | set(_ALIASES)))
-        raise KeyError(f"unknown decoder {name!r} (known: {known})")
-    return resolved
-
-
-def get_decoder(name: str) -> RegisteredDecoder:
-    """Look up a decoder by canonical name or alias."""
-    return _REGISTRY[canonical_name(name)]
-
-
-def available_decoders() -> tuple[str, ...]:
-    """Sorted canonical names of every registered decoder."""
-    return tuple(sorted(_REGISTRY))
-
-
-def decoder_choices() -> tuple[str, ...]:
-    """Canonical names plus aliases (for CLI ``choices=``)."""
-    return tuple(sorted(set(_REGISTRY) | set(_ALIASES)))
+#: Name/alias -> canonical name; ``KeyError`` naming the known decoders.
+canonical_name = _DECODERS.canonical_name
+#: Look up a decoder by canonical name or alias.
+get_decoder = _DECODERS.get
+#: Sorted canonical names of every registered decoder.
+available_decoders = _DECODERS.names
+#: Canonical names plus aliases (for CLI ``choices=``).
+decoder_choices = _DECODERS.choices
 
 
 def packed_predictions(

@@ -1,8 +1,9 @@
-"""Dataflow-rule fixtures: SEED001, PACK002, RES001, WIRE001.
+"""Dataflow-rule fixtures: SEED001, PACK002, RES001, WIRE001, PARSE000.
 
 Same shape as ``test_rules.py`` — self-contained snippet trees under
 ``tmp_path`` — but exercising the flow-sensitive machinery: branch
-joins, interprocedural summaries, exception-path precision.
+joins, interprocedural summaries, exception-path precision, and a
+syntax error that must not stop the rest of the run.
 """
 
 from repro.analysis import analyze
@@ -23,6 +24,22 @@ def scan(tmp_path, files, **kwargs):
 
 def rules_found(result):
     return sorted({f.rule for f in result.findings})
+
+
+#: A cross-module PACK002 tree: the helper hands back unpacked rows
+#: that the caller feeds to a packed-domain consumer.
+HELPER_FILES = {
+    "helper.py": (
+        "def fetch(sampler, shots):\n"
+        "    return sampler.sample_detectors(shots)\n"
+    ),
+    "mix.py": (
+        "from helper import fetch\n"
+        "def run(sampler, shots):\n"
+        "    rows = fetch(sampler, shots)\n"
+        "    return popcount_rows(rows)\n"
+    ),
+}
 
 
 class TestSEED001:
@@ -139,6 +156,21 @@ class TestPACK002Flow:
             "    return popcount_rows(rows)\n"
         )})
         assert result.findings == []
+
+    def test_edit_changes_the_verdict(self, tmp_path):
+        # The caller's verdict follows the helper's return through the
+        # summary table: fixing only the helper clears it, and
+        # reverting the helper brings it back.
+        result = scan(tmp_path, HELPER_FILES)
+        assert [f.rule for f in result.findings] == ["PACK002"]
+        fixed = dict(HELPER_FILES)
+        fixed["helper.py"] = (
+            "def fetch(sampler, shots):\n"
+            "    return sampler.sample_detectors_packed(shots)\n"
+        )
+        assert scan(tmp_path, fixed).findings == []
+        result = scan(tmp_path, HELPER_FILES)
+        assert [f.rule for f in result.findings] == ["PACK002"]
 
 
 class TestRES001:
@@ -355,3 +387,30 @@ class TestWIRE001:
         )})
         assert result.findings == []
         assert [f.rule for f in result.suppressed] == ["WIRE001"]
+
+
+class TestPARSE000:
+    BROKEN = "def broken(:\n    return 1\n"
+
+    def test_syntax_error_is_a_finding_not_a_crash(self, tmp_path):
+        files = dict(HELPER_FILES)
+        files["broken.py"] = self.BROKEN
+        result = scan(tmp_path, files)
+        assert rules_found(result) == ["PACK002", "PARSE000"]
+        (parse,) = [f for f in result.findings if f.rule == "PARSE000"]
+        assert parse.path == "broken.py"
+        assert parse.message.startswith("SyntaxError:")
+        assert parse.line >= 1
+        assert result.exit_code == 1
+
+    def test_other_files_still_fully_analyzed(self, tmp_path):
+        # The broken file must not shadow findings elsewhere in the
+        # tree — the rest of the run proceeds normally.
+        files = dict(HELPER_FILES)
+        files["broken.py"] = self.BROKEN
+        result = scan(tmp_path, files)
+        assert any(f.rule == "PACK002" for f in result.findings)
+
+    def test_clean_tree_with_only_broken_file(self, tmp_path):
+        result = scan(tmp_path, {"broken.py": self.BROKEN})
+        assert [f.rule for f in result.findings] == ["PARSE000"]

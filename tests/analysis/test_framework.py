@@ -1,5 +1,6 @@
 """Framework plumbing: suppressions, baselines, reporters, CLI."""
 
+import importlib
 import json
 
 import pytest
@@ -293,3 +294,48 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in rule_ids():
             assert rule_id in out
+
+    @pytest.mark.parametrize("missing", ["src/repo", "nope.py"])
+    def test_missing_path_is_usage_error(self, violation_dir, capsys, missing):
+        # A mistyped target must fail the gate, not pass it vacuously.
+        assert main([missing, "--no-context"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "2"], ["--no-cache"], ["--cache-dir", "x"]],
+        ids=["jobs", "no-cache", "cache-dir"],
+    )
+    def test_removed_cache_and_jobs_flags_rejected(
+        self, violation_dir, capsys, flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["roll.py", "--no-context", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+
+class TestAnalyzeArguments:
+    @pytest.mark.parametrize("missing", ["src/repo", "nope.py"])
+    def test_missing_path_raises(self, tmp_path, missing):
+        write_violation(tmp_path)
+        with pytest.raises(ValueError, match=missing):
+            analyze(
+                [tmp_path / "roll.py", tmp_path / missing],
+                root=tmp_path,
+                include_context=False,
+            )
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"jobs": 2}, {"use_cache": False}, {"cache_dir": "x"}],
+        ids=["jobs", "use_cache", "cache_dir"],
+    )
+    def test_removed_cache_and_jobs_keywords_rejected(self, tmp_path, knob):
+        with pytest.raises(TypeError):
+            analyze([write_violation(tmp_path)], root=tmp_path, **knob)
+
+    def test_cache_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.analysis.cache")

@@ -8,7 +8,8 @@ whole run stays fast.
 
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze
+from repro.analysis import Baseline, analyze, build_index
+from repro.analysis.rules.reg import _registered_impls
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -23,6 +24,18 @@ class TestSrcTreeIsClean:
         # live in the baseline file, where it carries a note.
         assert result.suppressed == []
         assert result.exit_code == 0
+
+    def test_reg001_discovers_every_registered_implementation(self):
+        # REG001 returns early when discovery finds nothing, so a
+        # renamed register_* call would make it pass vacuously.
+        impls = _registered_impls(build_index([REPO_ROOT / "src" / "repro"]))
+        assert set(impls) == {
+            "FrameSimulator",
+            "TableauSampler",
+            "MatchingDecoder",
+            "CompiledMatchingDecoder",
+            "LookupDecoder",
+        }
 
     def test_full_rule_set_runs_fast(self):
         result = analyze([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)

@@ -1,5 +1,7 @@
 """Tests for the sampler backend protocol and registry."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,53 @@ from repro.backends import (
     pack_detector_samples,
     register_backend,
 )
+from repro.backends.registry import _BACKENDS
 from repro.circuit import Circuit
+from repro.decoders import DecoderInfo, available_decoders, register_decoder
+from repro.decoders import canonical_name as decoder_canonical_name
+from repro.decoders.registry import _DECODERS
 from repro.engine import Task
 from repro.qec import repetition_code_memory
 
 
 def small_circuit() -> Circuit:
     return Circuit().h(0).cx(0, 1).x_error(0.1, 0).m(0, 1).detector(-1, -2)
+
+
+@pytest.fixture(params=["backend", "decoder"])
+def kind(request, monkeypatch):
+    """One public registry API; entries added by the test are dropped."""
+    if request.param == "backend":
+        registry = _BACKENDS
+        kind = SimpleNamespace(
+            register=lambda name, aliases=(): register_backend(
+                BackendInfo(name=name, description="x"),
+                lambda c: None,
+                aliases=aliases,
+            ),
+            canonical_name=canonical_name,
+            names=available_backends,
+            builtin="frame",
+            alias="symphase",
+            target="symbolic",
+        )
+    else:
+        registry = _DECODERS
+        kind = SimpleNamespace(
+            register=lambda name, aliases=(): register_decoder(
+                DecoderInfo(name=name, description="x"),
+                lambda dem: None,
+                aliases=aliases,
+            ),
+            canonical_name=decoder_canonical_name,
+            names=available_decoders,
+            builtin="matching",
+            alias="mwpm",
+            target="matching",
+        )
+    monkeypatch.setattr(registry, "_entries", dict(registry._entries))
+    monkeypatch.setattr(registry, "_aliases", dict(registry._aliases))
+    return kind
 
 
 class TestRegistry:
@@ -42,23 +84,33 @@ class TestRegistry:
         with pytest.raises(KeyError, match="frame"):
             canonical_name("quantum-supremacy")
 
-    def test_alias_cannot_shadow_backend(self):
-        info = BackendInfo(name="shadow-test", description="x")
-        with pytest.raises(ValueError):
-            register_backend(info, lambda c: None, aliases=("frame",))
-        assert "shadow-test" not in available_backends()
+    # The alias rules live in repro.registry.Registry, shared by both
+    # registries, so each rule is checked through both public APIs.
 
-    def test_alias_cannot_be_rebound_to_other_backend(self):
-        info = BackendInfo(name="alias-steal-test", description="x")
-        with pytest.raises(ValueError, match="symphase"):
-            register_backend(info, lambda c: None, aliases=("symphase",))
-        assert canonical_name("symphase") == "symbolic"
+    def test_alias_cannot_shadow_backend(self, kind):
+        with pytest.raises(ValueError, match="shadows"):
+            kind.register("shadow-test", aliases=(kind.builtin,))
+        assert "shadow-test" not in kind.names()
 
-    def test_name_cannot_equal_existing_alias(self):
-        info = BackendInfo(name="symphase", description="x")
+    def test_alias_cannot_be_rebound_to_other_backend(self, kind):
+        with pytest.raises(ValueError, match=kind.alias):
+            kind.register("alias-steal-test", aliases=(kind.alias,))
+        assert kind.canonical_name(kind.alias) == kind.target
+        assert "alias-steal-test" not in kind.names()
+
+    def test_name_cannot_equal_existing_alias(self, kind):
         with pytest.raises(ValueError, match="alias"):
-            register_backend(info, lambda c: None)
-        assert canonical_name("symphase") == "symbolic"
+            kind.register(kind.alias)
+        assert kind.canonical_name(kind.alias) == kind.target
+
+    def test_alias_cannot_equal_own_name(self, kind):
+        with pytest.raises(ValueError, match="shadows"):
+            kind.register("self-alias-test", aliases=("self-alias-test",))
+        assert "self-alias-test" not in kind.names()
+        # Every accepted registration can be repeated verbatim.
+        for _ in range(2):
+            kind.register("self-alias-test", aliases=("self-alias-alt",))
+        assert kind.canonical_name("self-alias-alt") == "self-alias-test"
 
     def test_every_builtin_satisfies_protocol(self):
         circuit = small_circuit()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.decoders import (
     CompiledMatchingDecoder,
-    DecoderInfo,
     LookupDecoder,
     MatchingDecoder,
     available_decoders,
@@ -13,7 +12,6 @@ from repro.decoders import (
     compile_decoder,
     decoder_choices,
     get_decoder,
-    register_decoder,
 )
 from repro.decoders.registry import SyndromeDecoder
 from repro.dem import DetectorErrorModel, ErrorMechanism
@@ -76,14 +74,6 @@ class TestCapabilities:
 
 
 class TestRegistration:
-    def test_alias_may_not_shadow_canonical(self):
-        with pytest.raises(ValueError, match="shadows"):
-            register_decoder(
-                DecoderInfo(name="throwaway", description=""),
-                MatchingDecoder,
-                aliases=("matching",),
-            )
-
     def test_every_registered_decoder_decodes(self):
         dem = line_dem()
         syndrome = np.array([1, 0], dtype=np.uint8)
