@@ -29,7 +29,7 @@ from repro.analysis.rules.pack import PACKED_PRODUCERS, UNPACKED_PRODUCERS
 from repro.analysis.summaries import DataflowContext, SummaryAnalysis
 
 #: Spec constructors crossing the worker boundary.
-SPEC_TAILS = frozenset({"ChunkSpec", "WarmSpec"})
+SPEC_TAILS = frozenset({"ChunkSpec"})
 
 #: Synchronization primitives (fork-hostile, often unpicklable).
 _LOCK_TAILS = frozenset({

@@ -147,17 +147,10 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
         dest="chunk_timeout",
         help=(
-            "per-chunk lease deadline for pooled runs; an overdue lease "
-            "kills its worker and requeues the chunk (default: no "
-            "deadline)"
-        ),
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.1, metavar="SECONDS",
-        help=(
-            "base of the bounded exponential retry delay: a chunk's "
-            "attempt N waits backoff * 2**N seconds, capped (default "
-            "0.1).  Fault injection for chaos testing comes from the "
+            "per-chunk lease deadline for pooled runs, timed from when "
+            "the worker starts the chunk; an overdue lease kills its "
+            "worker and requeues the chunk (default: no deadline).  "
+            "Fault injection for chaos testing comes from the "
             "REPRO_FAULTS environment variable (see repro.engine.faults)"
         ),
     )
@@ -173,7 +166,6 @@ def _execution_options(args: argparse.Namespace, **extra):
         chunk_shots=args.chunk_shots,
         max_chunk_retries=args.max_chunk_retries,
         chunk_timeout_seconds=args.chunk_timeout,
-        retry_backoff=args.retry_backoff,
         **extra,
     )
 

@@ -11,7 +11,14 @@ memory.
 Each worker process owns one process-global cache (:func:`shared_cache`):
 forked/spawned workers cannot share Python objects, but because chunks
 of the same task always carry the same fingerprint, every worker pays
-initialization at most once per distinct circuit it touches.
+initialization at most once per distinct circuit it touches — inside
+its first chunk of that circuit.
+
+The ``cached_*`` builders at the bottom are the one owner of the
+engine's artifact keys.  Pool workers (``run_chunk``) and interactive
+handles (:class:`~repro.study.compiled.CompiledCircuit`) both build
+through them, so an artifact compiled on either side is a hit on the
+other.
 """
 
 from __future__ import annotations
@@ -123,3 +130,49 @@ def reset_shared_cache() -> None:
     """Drop the process-global cache (tests / memory pressure)."""
     global _SHARED
     _SHARED = None
+
+
+# -- the engine's artifact families ------------------------------------------
+
+
+def cached_circuit(fingerprint: str, text: str):
+    """The parsed circuit for ``text`` (whose fingerprint is given)."""
+    from repro.circuit.circuit import Circuit
+
+    return shared_cache().get_or_build(
+        ("circuit", fingerprint), lambda: Circuit.from_text(text)
+    )
+
+
+def cached_sampler(fingerprint: str, circuit, sampler: str):
+    """``circuit`` compiled by the ``sampler`` backend (canonical name)."""
+    from repro.backends import compile_backend
+
+    return shared_cache().get_or_build(
+        ("sampler", fingerprint, sampler),
+        lambda: compile_backend(circuit, sampler),
+    )
+
+
+def cached_dem(fingerprint: str, circuit):
+    """The merged detector error model of ``circuit``."""
+    from repro.dem import extract_dem
+
+    return shared_cache().get_or_build(
+        ("dem", fingerprint), lambda: extract_dem(circuit)
+    )
+
+
+def cached_decoder(fingerprint: str, circuit, decoder: str):
+    """The ``decoder`` compiled over :func:`cached_dem`.
+
+    ``decoder`` must already be canonical (``Task`` and
+    ``CompiledCircuit`` resolve aliases), so one compiled decoder per
+    (circuit, decoder) serves every alias.
+    """
+    from repro.decoders import compile_decoder
+
+    return shared_cache().get_or_build(
+        ("decoder", fingerprint, decoder),
+        lambda: compile_decoder(cached_dem(fingerprint, circuit), decoder),
+    )

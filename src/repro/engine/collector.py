@@ -29,7 +29,7 @@ import repro.obs as obs
 from repro.decoders.metrics import wilson_interval
 from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
 from repro.engine.tasks import Task
-from repro.engine.workers import ChunkRunner, plan_chunks, warm_spec
+from repro.engine.workers import ChunkRunner, plan_chunks
 
 
 @dataclass
@@ -261,7 +261,6 @@ def collect(
     profile: bool = UNSET,
     max_chunk_retries: int = UNSET,
     chunk_timeout_seconds: float | None = UNSET,
-    retry_backoff: float = UNSET,
     fault_plan: Any = UNSET,
 ) -> list[TaskStats]:
     """Collect statistics for every task; returns one TaskStats per task.
@@ -291,9 +290,8 @@ def collect(
       (restored afterwards; the registry is left populated for the
       caller).  Observational only — counts are unaffected.
     * ``max_chunk_retries`` / ``chunk_timeout_seconds`` /
-      ``retry_backoff`` / ``fault_plan`` — fault-tolerance policy for
-      pooled runs (lease deadlines, bounded-backoff retry, quarantine,
-      chaos injection); see
+      ``fault_plan`` — fault-tolerance policy for pooled runs (retry
+      budget, lease deadlines, quarantine, chaos injection); see
       :class:`~repro.engine.options.ExecutionOptions`.  A task with
       quarantined chunks gets quarantine rows instead of a task row,
       so resuming against the same store re-attempts it.
@@ -308,7 +306,6 @@ def collect(
         profile=profile,
         max_chunk_retries=max_chunk_retries,
         chunk_timeout_seconds=chunk_timeout_seconds,
-        retry_backoff=retry_backoff,
         fault_plan=fault_plan,
     )
     if options is None:
@@ -343,7 +340,6 @@ def collect(
             workers=options.workers,
             max_chunk_retries=options.max_chunk_retries,
             chunk_timeout_seconds=options.chunk_timeout_seconds,
-            retry_backoff=options.retry_backoff,
             fault_plan=options.fault_plan,
         ) as runner:
             for task in task_list:
@@ -363,10 +359,6 @@ def collect(
                     if progress is not None:
                         progress(stored)
                     continue
-                # Pooled runs pre-compile the task's circuit on every
-                # worker before its first chunk (a no-op serially and
-                # for already-warmed triples).
-                runner.warm(warm_spec(task, run_seed))
                 stats = _collect_one(task, runner, run_seed, options, store)
                 # A task with quarantined chunks is incomplete: its
                 # quarantine rows are already in the store, but no task

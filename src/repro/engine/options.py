@@ -75,10 +75,10 @@ class ExecutionOptions:
       Retries replay identical shots (the chunk RNG derives from the
       spec alone), so recovery never changes counts.
     * ``chunk_timeout_seconds`` — per-chunk lease deadline for pooled
-      runs; an overdue lease kills its worker and requeues the chunk.
-      ``None`` (the default) means no deadline.
-    * ``retry_backoff`` — base of the bounded exponential retry delay
-      (``retry_backoff * 2**attempt`` seconds, capped).
+      runs, timed from when the worker starts the chunk (a worker's
+      first chunk of a circuit includes its compile); an overdue lease
+      kills its worker and requeues the chunk.  ``None`` (the default)
+      means no deadline.
     * ``fault_plan`` — a :class:`repro.engine.faults.FaultPlan` (or its
       string syntax) injecting deterministic worker crashes for chaos
       testing; ``None`` defers to the ``REPRO_FAULTS`` environment
@@ -98,7 +98,6 @@ class ExecutionOptions:
     profile: bool = False
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
-    retry_backoff: float = 0.1
     fault_plan: Any = None
 
     def __post_init__(self) -> None:
@@ -115,8 +114,6 @@ class ExecutionOptions:
             and self.chunk_timeout_seconds <= 0
         ):
             raise ValueError("chunk_timeout_seconds must be positive")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

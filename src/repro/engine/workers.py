@@ -22,21 +22,16 @@ Pooled execution runs on a :class:`~repro.engine.supervise.SupervisedPool`
 of directly-owned worker processes rather than a fire-and-forget
 ``multiprocessing.Pool``: every in-flight chunk is a *lease* tied to a
 specific worker with an optional deadline, worker deaths are detected
-via process sentinels (and stalls via heartbeats), failed leases are
-requeued with bounded exponential backoff, and a chunk that keeps
-failing is quarantined as a structured failure result instead of
-aborting the sweep.  :mod:`repro.engine.faults` injects deterministic
-crashes into this machinery under test.
+via process sentinels, failed leases go straight back to the pending
+queue, and a chunk that keeps failing is quarantined as a structured
+failure result instead of aborting the sweep.  :mod:`repro.engine.faults`
+injects deterministic crashes into this machinery under test.
 
 Workers keep a process-global :class:`~repro.engine.cache.SamplerCache`;
 the first chunk of a circuit a worker sees pays Algorithm 1's
 Initialization (plus DEM extraction and decoder construction), every
-later chunk is pure Eq. 4 sampling + decoding.  A pooled runner can
-also *warm* that cache up front — :meth:`ChunkRunner.warm` sends one
-"compile this fingerprint" task to each worker over its own pipe (and
-re-warms replacement workers after a crash), so ``backend.compile``
-runs once per worker per circuit before the first real chunk instead
-of serializing into it.
+later chunk is pure Eq. 4 sampling + decoding: one compile per worker
+per circuit.
 
 Parent and workers talk over one wire: each worker's duplex pipe,
 which pickles whole :class:`ChunkSpec`s out and :class:`ChunkResult`s
@@ -58,23 +53,14 @@ import numpy as np
 
 import repro.obs as obs
 from repro.engine import faults
-from repro.engine.cache import shared_cache
+from repro.engine.cache import cached_circuit, cached_decoder, cached_sampler
 from repro.engine.supervise import SupervisedPool
 from repro.engine.tasks import Task
 from repro.gf2 import bitops
 from repro.rng import chunk_generator
 
-#: Hard cap on the exponential retry backoff, whatever the attempt count.
-_MAX_BACKOFF_SECONDS = 30.0
-
-#: How long a warm broadcast waits for every worker's ack; generous
-#: because it covers each worker's full compile, but bounded so a
-#: wedged worker cannot stall collection forever (an unwarmed worker
-#: just pays its compile on its first chunk).
-_WARM_TIMEOUT_SECONDS = 60.0
-
 #: Base supervisor poll tick: the longest the scheduler sleeps when no
-#: worker message, lease deadline or retry timer is nearer.
+#: worker message or lease deadline is nearer.
 _POLL_SECONDS = 0.25
 
 
@@ -191,25 +177,6 @@ def plan_chunks(
     return specs
 
 
-def _build_sampler(spec: ChunkSpec, circuit):
-    from repro.backends import get_backend
-
-    return get_backend(spec.sampler).compile(circuit)
-
-
-def _build_decoder(spec: ChunkSpec, circuit):
-    from repro.decoders import compile_decoder
-    from repro.dem import extract_dem
-
-    cache = shared_cache()
-    dem = cache.get_or_build(
-        ("dem", spec.fingerprint), lambda: extract_dem(circuit)
-    )
-    # spec.decoder is already canonical (Task resolves aliases), so one
-    # compiled decoder per (circuit, decoder) serves every alias.
-    return compile_decoder(dem, spec.decoder)
-
-
 def run_chunk(spec: ChunkSpec) -> ChunkResult:
     """Sample + decode one chunk (runs in a worker or in-process).
 
@@ -227,12 +194,10 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
     are bitwise identical to decoding the unpacked view of the stream.
     """
     from repro.backends.protocol import packed_detector_samples
-    from repro.circuit.circuit import Circuit
     from repro.decoders.registry import packed_predictions
 
     started = time.perf_counter()
     pid = os.getpid()
-    cache = shared_cache()
     with obs.span(
         "chunk",
         task=spec.task_id,
@@ -241,19 +206,8 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
         sampler=spec.sampler,
         decoder=spec.decoder,
     ) as chunk_sp:
-        if obs.is_tracing():
-            sampler_key = ("sampler", spec.fingerprint, spec.sampler)
-            chunk_sp.set(
-                sampler_cache="hit" if sampler_key in cache else "miss"
-            )
-        circuit = cache.get_or_build(
-            ("circuit", spec.fingerprint),
-            lambda: Circuit.from_text(spec.circuit_text),
-        )
-        sampler = cache.get_or_build(
-            ("sampler", spec.fingerprint, spec.sampler),
-            lambda: _build_sampler(spec, circuit),
-        )
+        circuit = cached_circuit(spec.fingerprint, spec.circuit_text)
+        sampler = cached_sampler(spec.fingerprint, circuit, spec.sampler)
         rng = chunk_generator(
             spec.base_seed, spec.task_entropy, spec.chunk_index
         )
@@ -271,14 +225,7 @@ def run_chunk(spec: ChunkSpec) -> ChunkResult:
         if spec.decoder == "none":
             errors = int(bitops.nonzero_rows_packed(observables).size)
         else:
-            decoder_key = ("decoder", spec.fingerprint, spec.decoder)
-            if obs.is_tracing():
-                chunk_sp.set(
-                    decoder_cache="hit" if decoder_key in cache else "miss"
-                )
-            decoder = cache.get_or_build(
-                decoder_key, lambda: _build_decoder(spec, circuit)
-            )
+            decoder = cached_decoder(spec.fingerprint, circuit, spec.decoder)
             faults.on_decode(spec.chunk_index, spec.attempt, _IN_WORKER)
             with obs.span("decode", chunk=spec.chunk_index) as sp:
                 decode_started = time.perf_counter()
@@ -363,66 +310,6 @@ def enter_worker(config) -> None:
     obs.configure(config)
 
 
-def _warm_cache(spec: ChunkSpec) -> None:
-    """Build this worker's cached artifacts for one (circuit, sampler,
-    decoder) triple — the exact keys ``run_chunk`` will hit."""
-    from repro.circuit.circuit import Circuit
-
-    cache = shared_cache()
-    circuit = cache.get_or_build(
-        ("circuit", spec.fingerprint),
-        lambda: Circuit.from_text(spec.circuit_text),
-    )
-    cache.get_or_build(
-        ("sampler", spec.fingerprint, spec.sampler),
-        lambda: _build_sampler(spec, circuit),
-    )
-    if spec.decoder != "none":
-        cache.get_or_build(
-            ("decoder", spec.fingerprint, spec.decoder),
-            lambda: _build_decoder(spec, circuit),
-        )
-
-
-def warm_in_worker(payload) -> tuple:
-    """Warm-task target, called from the supervised worker loop.
-
-    Compiles the payload's artifacts into this worker's process cache
-    and returns ``(pid, spans, metrics)`` so the parent can absorb the
-    compile telemetry immediately.  No barrier is needed: each worker
-    receives its warm task over its own pipe, so distribution is by
-    construction — ``workers`` warm tasks land on ``workers`` distinct
-    processes.
-    """
-    with obs.span(
-        "warm",
-        fingerprint=payload.fingerprint,
-        sampler=payload.sampler,
-        decoder=payload.decoder,
-    ):
-        _warm_cache(payload)
-    return (
-        os.getpid(),
-        obs.drain_wire_spans() if _IN_WORKER and obs.is_tracing() else (),
-        obs.flush_wire() if _IN_WORKER and obs.is_metrics() else (),
-    )
-
-
-def warm_spec(task: Task, base_seed: int) -> ChunkSpec:
-    """A zero-shot template spec for :meth:`ChunkRunner.warm`."""
-    return ChunkSpec(
-        task_id=task.strong_id(),
-        fingerprint=task.circuit_fingerprint(),
-        circuit_text=task.circuit.to_text(),
-        decoder=task.decoder,
-        sampler=task.sampler,
-        chunk_index=0,
-        shots=0,
-        base_seed=base_seed,
-        task_entropy=task.seed_entropy(),
-    )
-
-
 def execute_chunk(spec: ChunkSpec) -> ChunkResult:
     """Worker-side execution of one leased chunk: fire the chunk-start
     fault hooks, then run it."""
@@ -436,8 +323,10 @@ class _Lease:
 
     slot: int  # worker slot holding the lease
     attempt: int
-    submitted: float  # perf_counter stamp, for the chunk timeline
-    deadline: float | None  # monotonic expiry, None = no deadline
+    # Monotonic expiry, armed when the chunk reaches the head of its
+    # worker's pipe; None while it queues behind that worker's other
+    # lease, or when runs have no deadline.
+    deadline: float | None = None
 
 
 @dataclass
@@ -448,7 +337,6 @@ class _RunState:
     specs: dict[int, ChunkSpec] = field(default_factory=dict)
     attempts: dict[int, int] = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
-    delayed: list = field(default_factory=list)  # (ready_monotonic, index)
     leases: dict[int, _Lease] = field(default_factory=dict)
     reorder: dict = field(default_factory=dict)
     submit_times: dict[int, float] = field(default_factory=dict)
@@ -459,12 +347,7 @@ class _RunState:
 
     def live(self) -> int:
         """Chunks admitted but not yet yielded — the window occupancy."""
-        return (
-            len(self.pending)
-            + len(self.delayed)
-            + len(self.leases)
-            + len(self.reorder)
-        )
+        return len(self.pending) + len(self.leases) + len(self.reorder)
 
 
 class ChunkRunner:
@@ -481,15 +364,13 @@ class ChunkRunner:
     other parent-worker channel and no named kernel object to clean up.
 
     Fault tolerance: each dispatched chunk is a *lease* on a specific
-    worker.  A worker death (sentinel), a stalled heartbeat (opt-in via
-    ``heartbeat_timeout_seconds``) or an expired lease
-    (``chunk_timeout_seconds``) requeues the worker's leased chunks
-    with exponential backoff (``retry_backoff * 2**attempt``, capped)
-    and replenishes the pool; a chunk failing more than
-    ``max_chunk_retries`` times is *quarantined* — yielded as a
-    ``failed`` :class:`ChunkResult` instead of aborting the sweep.
-    Replays are bitwise identical by the derived-seed scheme, so none
-    of this can change counts.
+    worker.  A worker death (sentinel) or an expired lease
+    (``chunk_timeout_seconds``, timed from when the worker starts the
+    chunk) requeues the worker's leased chunks at once and replenishes
+    the pool; a chunk failing more than ``max_chunk_retries`` times is
+    *quarantined* — yielded as a ``failed`` :class:`ChunkResult`
+    instead of aborting the sweep.  Replays are bitwise identical by
+    the derived-seed scheme, so none of this can change counts.
     """
 
     def __init__(
@@ -498,9 +379,6 @@ class ChunkRunner:
         *,
         max_chunk_retries: int = 2,
         chunk_timeout_seconds: float | None = None,
-        retry_backoff: float = 0.1,
-        heartbeat_interval_seconds: float = 0.5,
-        heartbeat_timeout_seconds: float | None = None,
         fault_plan: "faults.FaultPlan | str | None" = None,
     ):
         self.workers = max(1, int(workers))
@@ -508,18 +386,10 @@ class ChunkRunner:
             raise ValueError("max_chunk_retries must be >= 0")
         if chunk_timeout_seconds is not None and chunk_timeout_seconds <= 0:
             raise ValueError("chunk_timeout_seconds must be positive")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
         self.max_chunk_retries = int(max_chunk_retries)
         self.chunk_timeout_seconds = chunk_timeout_seconds
-        self.retry_backoff = float(retry_backoff)
-        self.heartbeat_interval_seconds = heartbeat_interval_seconds
-        self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.fault_plan = fault_plan
         self._pool: SupervisedPool | None = None
-        # key -> template spec, kept so replacement workers spawned
-        # after a crash can be re-warmed with the same payloads.
-        self._warmed: dict[tuple[str, str, str], ChunkSpec] = {}
         self._run_token = 0
 
     def __enter__(self) -> "ChunkRunner":
@@ -528,65 +398,17 @@ class ChunkRunner:
                 self.workers,
                 wire_config=obs.wire_config(),
                 fault_plan=faults.resolve_plan(self.fault_plan),
-                heartbeat_interval=self.heartbeat_interval_seconds,
             )
             self._pool.start()
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        try:
-            if self._pool is not None:
-                # Clean shutdown waits (bounded) for in-flight chunks so
-                # forked children flush coverage data; the exception
-                # path terminates immediately.
-                self._pool.stop(graceful=exc_type is None)
-                self._pool = None
-        finally:
-            self._warmed.clear()
-
-    def warm(self, spec: ChunkSpec) -> bool:
-        """Send "compile this fingerprint" to every pool worker.
-
-        Each worker builds the spec's circuit, sampler and (non-none)
-        decoder into its process cache, so ``backend.compile`` runs
-        once per worker per circuit *before* chunks flow instead of
-        serializing into each worker's first chunk.  Dedup-keyed by
-        ``(fingerprint, sampler, decoder)``; a no-op in-process (the
-        serial path compiles lazily, once, anyway).  Returns whether a
-        broadcast actually ran.  The workers' compile telemetry is
-        merged into the parent's buffers immediately, not deferred to
-        their first chunk.  The template is retained so a replacement
-        worker spawned after a crash is re-warmed before it takes
-        leases.
-        """
-        key = (spec.fingerprint, spec.sampler, spec.decoder)
-        if self._pool is None or key in self._warmed:
-            return False
-        self._warmed[key] = spec
-        with obs.span(
-            "warm.broadcast",
-            fingerprint=spec.fingerprint,
-            sampler=spec.sampler,
-            decoder=spec.decoder,
-            workers=self.workers,
-        ):
-            sent = [
-                slot
-                for slot in self._pool.live_slots()
-                if self._pool.send(slot, ("warm", spec))
-            ]
-            acks = self._pool.drain_warm_acks(
-                sent, time.monotonic() + _WARM_TIMEOUT_SECONDS
-            )
-            for _slot in sorted(acks):
-                _pid, spans, metrics = acks[_slot]
-                if spans:
-                    obs.absorb_spans(spans)
-                if metrics:
-                    obs.merge_wire(metrics)
-        if obs.is_metrics():
-            obs.counter("repro_warm_broadcasts_total").inc()
-        return True
+        if self._pool is not None:
+            # Clean shutdown waits (bounded) for in-flight chunks so
+            # forked children flush coverage data; the exception path
+            # terminates immediately.
+            self._pool.stop(graceful=exc_type is None)
+            self._pool = None
 
     @staticmethod
     def _finalize(
@@ -717,7 +539,7 @@ class ChunkRunner:
             )
 
         def requeue(index: int, lease: _Lease, reason: str) -> None:
-            """A lease failed: back off and retry, or quarantine."""
+            """A lease failed: retry it straight away, or quarantine."""
             failed_attempts = lease.attempt + 1
             if failed_attempts > self.max_chunk_retries:
                 quarantine(index, failed_attempts, reason)
@@ -725,11 +547,7 @@ class ChunkRunner:
             if measure:
                 obs.counter("repro_chunk_retries_total").inc()
             state.attempts[index] = failed_attempts
-            delay = min(
-                self.retry_backoff * (2 ** lease.attempt),
-                _MAX_BACKOFF_SECONDS,
-            )
-            state.delayed.append((time.monotonic() + delay, index))
+            state.pending.append(index)
 
         def quarantine(index: int, tries: int, reason: str) -> None:
             """Retry budget exhausted: emit a structured failure result
@@ -772,11 +590,6 @@ class ChunkRunner:
                 if lease.slot == slot
             ]
             pool.respawn(slot)
-            # Re-warm the replacement before it takes leases: its pipe
-            # delivers these warm tasks ahead of any later chunk, so it
-            # never pays a compile inside a leased chunk's deadline.
-            for template in self._warmed.values():
-                pool.send(slot, ("warm", template))
             for index in mine:
                 lease = state.leases.pop(index)
                 requeue(
@@ -785,13 +598,30 @@ class ChunkRunner:
                     "lease expired" if expired else "worker died",
                 )
 
+        def arm_head(slot: int) -> None:
+            """Start the deadline of ``slot``'s oldest lease.
+
+            A worker runs its pipe in order, so its oldest lease is the
+            chunk it executes next; later leases queue behind it and
+            must not be charged for that wait.  Called when the worker
+            takes its first lease and whenever it answers one.
+            """
+            if not self.chunk_timeout_seconds:
+                return
+            for lease in state.leases.values():
+                if lease.slot == slot:
+                    lease.deadline = (
+                        time.monotonic() + self.chunk_timeout_seconds
+                    )
+                    return
+
         def dispatch(index: int) -> bool:
             """Lease one pending chunk to the least-loaded live worker."""
             capacity = lease_capacity()
             while True:
                 if not capacity:
                     return False
-                _load, slot = capacity.pop(0)
+                load, slot = capacity.pop(0)
                 spec = state.specs[index]
                 attempt = state.attempts[index]
                 if spec.attempt != attempt:
@@ -800,16 +630,11 @@ class ChunkRunner:
                 if measure:
                     state.spec_sizes[index] = len(pickle.dumps(spec))
                 if pool.send(slot, ("chunk", state.token, index, spec)):
-                    state.leases[index] = _Lease(
-                        slot=slot,
-                        attempt=attempt,
-                        submitted=state.submit_times[index],
-                        deadline=(
-                            time.monotonic() + self.chunk_timeout_seconds
-                            if self.chunk_timeout_seconds
-                            else None
-                        ),
-                    )
+                    # Insertion order is dispatch order, which arm_head
+                    # relies on to find each worker's oldest lease.
+                    state.leases[index] = _Lease(slot=slot, attempt=attempt)
+                    if load == 0:
+                        arm_head(slot)
                     return True
                 # The worker died between poll and send.  The chunk was
                 # never leased (no retry charged); replace the worker
@@ -817,43 +642,22 @@ class ChunkRunner:
                 on_worker_down(slot)
                 capacity = lease_capacity()
 
-        def on_message(payload: tuple) -> None:
-            kind = payload[0]
-            if kind == "result":
-                _, token, index, result = payload
-                if token != state.token or index not in state.leases:
-                    return  # stale: abandoned run or already-requeued lease
-                del state.leases[index]
-                received = time.perf_counter()
-                result_bytes = (
-                    len(pickle.dumps(result)) if measure else 0
-                )
-                state.reorder[index] = (result, received, result_bytes)
-            elif kind == "error":
-                _, token, index, message = payload
-                if token != state.token or index not in state.leases:
-                    return
-                requeue(index, state.leases.pop(index), message)
-            elif kind == "warm":
-                # Late warm ack from a re-warmed replacement worker.
-                _, _pid, spans, metrics = payload
-                if spans:
-                    obs.absorb_spans(spans)
-                if metrics:
-                    obs.merge_wire(metrics)
+        def on_message(slot: int, payload: tuple) -> None:
+            kind, token, index, body = payload
+            if token == state.token and index in state.leases:
+                lease = state.leases.pop(index)
+                if kind == "result":
+                    received = time.perf_counter()
+                    result_bytes = len(pickle.dumps(body)) if measure else 0
+                    state.reorder[index] = (body, received, result_bytes)
+                else:
+                    requeue(index, lease, body)
+            # Any answer (even a stale one from an abandoned run or an
+            # already-requeued lease) means the worker moved on to the
+            # next chunk in its pipe.
+            arm_head(slot)
 
         while True:
-            # Ripen retry timers.
-            if state.delayed:
-                now = time.monotonic()
-                ripe = sorted(
-                    index for ready, index in state.delayed if ready <= now
-                )
-                if ripe:
-                    state.delayed = [
-                        entry for entry in state.delayed if entry[0] > now
-                    ]
-                    state.pending.extend(ripe)
             # Admit new chunks while the window has room.
             while not state.exhausted and state.live() < window:
                 try:
@@ -874,25 +678,20 @@ class ChunkRunner:
             if state.exhausted and state.live() == 0:
                 return
             # Wait for worker events, but no longer than the nearest
-            # lease deadline or retry timer needs.
+            # lease deadline needs.
             wait = _POLL_SECONDS
-            now = time.monotonic()
-            if state.delayed:
-                wait = min(
-                    wait, min(ready for ready, _ in state.delayed) - now
-                )
             deadlines = [
                 lease.deadline
                 for lease in state.leases.values()
                 if lease.deadline is not None
             ]
             if deadlines:
-                wait = min(wait, min(deadlines) - now)
+                wait = min(wait, min(deadlines) - time.monotonic())
             for event in pool.poll(max(0.01, wait)):
                 if event.kind == "died":
                     on_worker_down(event.slot)
-                elif event.payload:
-                    on_message(event.payload)
+                else:
+                    on_message(event.slot, event.payload)
             # Expire overdue leases: the holder is killed (it may be
             # wedged, and killing guarantees no late duplicate result),
             # which fails all its leases at once.
@@ -908,17 +707,6 @@ class ChunkRunner:
                         obs.counter("repro_lease_expired_total").inc()
                     pool.kill(slot)
                     on_worker_down(slot, expired=True)
-            # Hung-worker detection (opt-in): a worker whose heartbeat
-            # thread has gone silent is dead weight even without lease
-            # deadlines.
-            if self.heartbeat_timeout_seconds:
-                for slot in pool.live_slots():
-                    if (
-                        pool.heartbeat_age(slot)
-                        > self.heartbeat_timeout_seconds
-                    ):
-                        pool.kill(slot)
-                        on_worker_down(slot)
             # Drain the reorder buffer in deterministic order.
             while state.next_yield in state.reorder:
                 result, received_at, result_bytes = state.reorder.pop(

@@ -18,7 +18,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.cache import shared_cache
+from repro.engine.cache import (
+    cached_decoder,
+    cached_dem,
+    cached_sampler,
+    shared_cache,
+)
 from repro.engine.options import UNSET, ExecutionOptions, explicit_kwargs
 from repro.engine.tasks import (
     NO_DECODER,
@@ -84,11 +89,8 @@ class CompiledCircuit:
     @property
     def sampler(self):
         """The compiled backend sampler (built on first access)."""
-        from repro.backends import compile_backend
-
-        return shared_cache().get_or_build(
-            ("sampler", self.fingerprint, self.sampler_name),
-            lambda: compile_backend(self.circuit, self.sampler_name),
+        return cached_sampler(
+            self.fingerprint, self.circuit, self.sampler_name
         )
 
     def symbolic(self):
@@ -111,25 +113,18 @@ class CompiledCircuit:
     @property
     def dem(self):
         """The merged detector error model (built on first access)."""
-        from repro.dem import extract_dem
-
-        return shared_cache().get_or_build(
-            ("dem", self.fingerprint), lambda: extract_dem(self.circuit)
-        )
+        return cached_dem(self.fingerprint, self.circuit)
 
     @property
     def decoder(self):
         """The compiled decoder over :attr:`dem` (built on first access)."""
-        from repro.decoders import compile_decoder
-
         if self.decoder_name == NO_DECODER:
             raise ValueError(
                 "this circuit was compiled with decoder='none'; "
                 "re-compile with a registered decoder to decode"
             )
-        return shared_cache().get_or_build(
-            ("decoder", self.fingerprint, self.decoder_name),
-            lambda: compile_decoder(self.dem, self.decoder_name),
+        return cached_decoder(
+            self.fingerprint, self.circuit, self.decoder_name
         )
 
     # -- sampling --------------------------------------------------------

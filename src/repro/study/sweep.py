@@ -215,10 +215,8 @@ class Sweep:
         ``options`` carries the execution policy (workers, chunk size,
         base seed, store, fault policy, ...); keyword
         ``overrides`` patch it in place
-        (``sweep.collect(workers=4, store="out.jsonl")``).  Pooled runs
-        warm every worker per distinct circuit before its chunks flow
-        (one broadcast compile); counts are bitwise identical under
-        every worker count.  Returns a
+        (``sweep.collect(workers=4, store="out.jsonl")``).  Counts are
+        bitwise identical under every worker count.  Returns a
         :class:`~repro.study.result.SweepResult` over one
         ``TaskStats`` per task.
         """

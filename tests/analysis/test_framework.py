@@ -174,7 +174,7 @@ class TestReporters:
         assert payload["counts"] == {"RNG001": 1}
         assert payload["files_analyzed"] == 1
         # No "seconds" field: the JSON report is a pure function of the
-        # findings so cold and warm cache runs stay byte-identical.
+        # findings, so two runs over the same tree are byte-identical.
         assert "seconds" not in payload
         (finding,) = payload["findings"]
         assert set(finding) == {

@@ -1,9 +1,16 @@
-"""SamplerCache LRU semantics and build-on-miss accounting."""
+"""SamplerCache LRU semantics, build-on-miss accounting, and the one
+set of artifact builders the engine and interactive handles share."""
 
 import pytest
 
-from repro.engine import SamplerCache
-from repro.engine.cache import reset_shared_cache, shared_cache
+from repro.engine import SamplerCache, Task, plan_chunks, run_chunk
+from repro.engine.cache import (
+    cached_decoder,
+    cached_dem,
+    reset_shared_cache,
+    shared_cache,
+)
+from repro.qec import repetition_code_memory
 
 
 class TestSamplerCache:
@@ -63,3 +70,45 @@ class TestSharedCache:
             assert shared_cache() is not first
         finally:
             reset_shared_cache()
+
+
+class TestArtifactBuilders:
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        reset_shared_cache()
+        yield
+        reset_shared_cache()
+
+    def test_decoders_share_one_dem(self):
+        circuit = repetition_code_memory(
+            3, rounds=2, data_flip_probability=0.05,
+            measure_flip_probability=0.05,
+        )
+        fingerprint = circuit.fingerprint()
+        cached_decoder(fingerprint, circuit, "compiled-matching")
+        cached_decoder(fingerprint, circuit, "lookup")
+        dem = cached_dem(fingerprint, circuit)
+        assert cached_dem(fingerprint, circuit) is dem
+        assert shared_cache().stats() == {
+            "hits": 3, "misses": 3, "entries": 3
+        }
+
+    def test_chunk_reuses_what_a_compiled_handle_built(self):
+        circuit = repetition_code_memory(
+            3, rounds=2, data_flip_probability=0.05,
+            measure_flip_probability=0.05,
+        )
+        compiled = circuit.compile(sampler="frame")
+        sampler, decoder = compiled.sampler, compiled.decoder
+        cache = shared_cache()
+        misses = cache.misses
+        task = Task(circuit, decoder="compiled-matching", sampler="frame",
+                    max_shots=100)
+        run_chunk(plan_chunks(task, 3, 100)[0])
+        # Only the parsed circuit is new: the handle never caches its
+        # own circuit object, while sampler and decoder are hits.
+        assert cache.misses == misses + 1
+        key = ("sampler", compiled.fingerprint, "frame")
+        assert cache.get_or_build(key, object) is sampler
+        key = ("decoder", compiled.fingerprint, "compiled-matching")
+        assert cache.get_or_build(key, object) is decoder

@@ -27,7 +27,7 @@ from repro.engine.faults import (
     plan_from_env,
     resolve_plan,
 )
-from repro.qec import repetition_code_memory
+from repro.qec import repetition_code_memory, surface_code_memory
 
 
 def make_task(
@@ -153,11 +153,10 @@ FAULT_CASES = {
     "kill": dict(fault_plan="kill@1"),
     # Chunk 2 stalls past its lease deadline: the supervisor kills the
     # holder and requeues.
-    "timeout": dict(fault_plan="delay@2:3.0", chunk_timeout_seconds=0.5,
-                    retry_backoff=0.01),
+    "timeout": dict(fault_plan="delay@2:3.0", chunk_timeout_seconds=0.5),
     # Chunk 1's decode raises in-worker: the error message travels back
     # and the chunk retries.
-    "raise": dict(fault_plan="raise@1", retry_backoff=0.01),
+    "raise": dict(fault_plan="raise@1"),
 }
 
 
@@ -204,7 +203,6 @@ def test_worker_death_metrics_recorded():
     task = make_task()
     stats = collect(
         [task], base_seed=3, workers=2, fault_plan="kill@1",
-        retry_backoff=0.01,
     )
     assert stats[0].failed_chunks == 0
     reg = obs.registry()
@@ -218,7 +216,6 @@ def test_lease_expiry_metrics_recorded():
     stats = collect(
         [task], base_seed=3, workers=2, chunk_shots=500,
         fault_plan="delay@2:3.0", chunk_timeout_seconds=0.5,
-        retry_backoff=0.01,
     )
     assert stats[0].failed_chunks == 0
     reg = obs.registry()
@@ -226,12 +223,42 @@ def test_lease_expiry_metrics_recorded():
     assert reg.value("repro_chunk_retries_total") >= 1.0
 
 
+def test_queued_lease_deadline_starts_at_the_head_of_the_pipe():
+    """Each worker holds two leases, and the second one's deadline must
+    not run while the first executes.  Chunks 0-3 each stall 0.6 s
+    against a 1.0 s deadline, so whichever worker gets two of them
+    would see its second lease expire at 1.2 s if the clock started at
+    dispatch rather than when the worker reaches that chunk."""
+    obs.enable(tracing=False, metrics=True)
+    circuit = surface_code_memory(
+        3, 3, after_clifford_depolarization=0.004,
+        before_measure_flip_probability=0.004,
+    )
+    task = Task(
+        circuit, decoder="compiled-matching", sampler="frame",
+        max_shots=3_000,
+    )
+    # Serial first: it is the reference, and the forked workers inherit
+    # its compiled artifacts, so the deadline times only the stall.
+    serial = collect([task], base_seed=7, workers=1, chunk_shots=500)
+    pooled = collect(
+        [task], base_seed=7, workers=2, chunk_shots=500,
+        chunk_timeout_seconds=1.0,
+        fault_plan="delay@0:0.6,delay@1:0.6,delay@2:0.6,delay@3:0.6",
+    )
+    reg = obs.registry()
+    assert not reg.value("repro_lease_expired_total")
+    assert not reg.value("repro_chunk_retries_total")
+    assert counts(pooled) == counts(serial)
+    assert pooled[0].failed_chunks == 0
+
+
 def test_env_plan_drives_pooled_run(monkeypatch):
     """REPRO_FAULTS reaches forked workers without any options plumbing."""
     monkeypatch.setenv(ENV_VAR, "raise@1")
     obs.enable(tracing=False, metrics=True)
     task = make_task()
-    faulted = collect([task], base_seed=11, workers=2, retry_backoff=0.01)
+    faulted = collect([task], base_seed=11, workers=2)
     monkeypatch.setenv(ENV_VAR, "")
     serial = collect([task], base_seed=11, workers=1)
     assert counts(faulted) == counts(serial)
@@ -247,9 +274,7 @@ def test_retry_replays_identical_chunk():
     with ChunkRunner(workers=1) as runner:
         reference = {r.chunk_index: (r.shots, r.errors)
                      for r in runner.run(specs)}
-    with ChunkRunner(
-        workers=2, fault_plan="raise@1,raise@2", retry_backoff=0.01,
-    ) as runner:
+    with ChunkRunner(workers=2, fault_plan="raise@1,raise@2") as runner:
         retried = {r.chunk_index: (r.shots, r.errors)
                    for r in runner.run(specs)}
     assert retried == reference
@@ -269,7 +294,6 @@ class TestQuarantine:
         stats = collect(
             [task], base_seed=11, workers=2, store=store_path,
             fault_plan="raise@1x*", max_chunk_retries=1,
-            retry_backoff=0.01,
         )
         assert stats[0].failed_chunks == 1
         assert stats[0].shots == task.max_shots - 2_000  # one chunk lost
@@ -291,7 +315,6 @@ class TestQuarantine:
         poisoned = collect(
             [task], base_seed=11, workers=2, store=store_path,
             fault_plan="raise@1x*", max_chunk_retries=1,
-            retry_backoff=0.01,
         )
         assert poisoned[0].failed_chunks == 1
 
@@ -314,7 +337,7 @@ class TestQuarantine:
         collect(
             [make_task()], base_seed=11, workers=2,
             store=tmp_path / "r.jsonl", fault_plan="raise@1x*",
-            max_chunk_retries=0, retry_backoff=0.01,
+            max_chunk_retries=0,
         )
         assert obs.registry().value("repro_chunks_quarantined") == 1.0
 

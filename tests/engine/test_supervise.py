@@ -3,8 +3,7 @@
 These drive :class:`SupervisedPool` directly with real chunk specs,
 without the lease scheduler on top, so each mechanism the scheduler
 relies on — targeted sends, the four-field error reply, death events,
-in-place respawn, heartbeats and both shutdown paths — is pinned down
-by itself.
+in-place respawn and both shutdown paths — is pinned down by itself.
 """
 
 import os
@@ -14,7 +13,7 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.engine import Task, plan_chunks, warm_spec
+from repro.engine import Task, plan_chunks
 from repro.engine.faults import NOOP, FaultPlan
 from repro.engine.supervise import SupervisedPool, WorkerEvent
 from repro.engine.workers import ChunkResult, run_chunk
@@ -124,16 +123,6 @@ class TestMessages:
         assert deaths(events) == []
         assert pool.worker_pid(0) == pid
 
-    def test_warm_acks_come_back_one_per_slot(self, make_pool):
-        pool = make_pool()
-        template = warm_spec(make_task(p=0.0517), 3)
-        for slot in pool.live_slots():
-            assert pool.send(slot, ("warm", template))
-        acks = pool.drain_warm_acks([0, 1], time.monotonic() + 30)
-        assert sorted(acks) == [0, 1]
-        for slot, (pid, _spans, _metrics) in acks.items():
-            assert pid == pool.worker_pid(slot)
-
     @pytest.mark.parametrize("metrics", [False, True])
     def test_worker_telemetry_follows_wire_config(self, make_pool, metrics):
         if metrics:
@@ -197,20 +186,6 @@ class TestDeaths:
         pool.kill(1)
         assert pool.live_slots() == []
         assert pool.poll(0.01) == []
-
-
-class TestHeartbeats:
-    def test_idle_workers_keep_beating(self, make_pool):
-        pool = make_pool(heartbeat_interval=0.05)
-        time.sleep(0.5)
-        for slot in pool.live_slots():
-            assert pool.heartbeat_age(slot) < 0.4
-
-    def test_dead_worker_heartbeat_goes_stale(self, make_pool):
-        pool = make_pool(workers=1, heartbeat_interval=0.05)
-        os.kill(pool.worker_pid(0), signal.SIGKILL)
-        time.sleep(0.5)
-        assert pool.heartbeat_age(0) >= 0.3
 
 
 class TestStop:

@@ -4,8 +4,9 @@ Pooled runs have no other channel, so these pin down that the wire is
 lossless (serial == pooled bitwise for every backend/decoder pair,
 ``none`` included, and a pickled spec replays the same shots), that its
 byte accounting is the pickled size, that the runner reclaims its
-workers on every exit path, and that the knobs of the removed
-shared-memory wire fail loudly instead of being ignored.
+workers on every exit path, that each worker compiles a circuit once,
+and that the knobs of removed mechanisms fail loudly instead of being
+ignored.
 """
 
 import importlib
@@ -23,7 +24,6 @@ from repro.engine import (
     Task,
     collect,
     plan_chunks,
-    warm_spec,
 )
 from repro.engine.workers import ChunkResult, run_chunk
 from repro.qec import repetition_code_memory
@@ -34,7 +34,7 @@ def make_task(
 ):
     # Vary ``p`` to get a fingerprint no other test compiled: forked
     # workers inherit the parent's sampler cache, so a shared circuit
-    # would turn warm-broadcast compiles into hits.
+    # would turn first-chunk compiles into hits.
     circuit = repetition_code_memory(
         3, rounds=2, data_flip_probability=p, measure_flip_probability=p
     )
@@ -205,22 +205,18 @@ class TestLifecycle:
         ) == len(specs)
 
 
-class TestWarmWorkers:
-    def test_warm_compiles_once_per_worker(self):
-        """After a warm broadcast, sampler compile count == workers —
-        not chunks — and every chunk is a cache hit."""
+class TestOneCompilePerWorker:
+    def test_each_worker_compiles_once_in_its_first_chunk(self):
+        """Sampler compile count == workers that ran chunks — not
+        chunks — and every later chunk is a cache hit."""
         obs.enable(tracing=False, metrics=True)
         workers = 2
-        task = make_task(max_shots=800, p=0.041)
-        specs = plan_chunks(task, 3, 100)
+        specs = plan_chunks(make_task(max_shots=800, p=0.041), 3, 100)
         # Explicit empty fault plan: under the CI chaos leg's
-        # REPRO_FAULTS a killed worker's replacement is re-warmed,
+        # REPRO_FAULTS a killed worker's replacement compiles again,
         # which is one extra (correct) compile this count can't allow.
         with ChunkRunner(workers=workers, fault_plan="") as runner:
-            assert runner.warm(warm_spec(task, 3))
-            # Idempotent: the same triple never broadcasts twice.
-            assert not runner.warm(warm_spec(task, 3))
-            list(runner.run(specs))
+            pids = {result.pid for result in runner.run(specs)}
         reg = obs.registry()
         misses = sum(
             m.value
@@ -230,36 +226,22 @@ class TestWarmWorkers:
             m.value
             for _, m in reg.select("repro_cache_hits_total", kind="sampler")
         )
-        assert misses == workers
-        assert hits == len(specs)
-        assert reg.value("repro_warm_broadcasts_total") == 1
-
-    def test_warm_telemetry_arrives_before_any_chunk(self):
-        obs.enable(tracing=False, metrics=True)
-        task = make_task(p=0.043)
-        with ChunkRunner(workers=2, fault_plan="") as runner:
-            assert runner.warm(warm_spec(task, 3))
-            misses = sum(
-                m.value
-                for _, m in obs.registry().select(
-                    "repro_cache_misses_total", kind="sampler"
-                )
-            )
-        assert misses == 2
-
-    def test_warm_is_noop_in_process(self):
-        task = make_task()
-        with ChunkRunner(workers=1) as runner:
-            assert not runner.warm(warm_spec(task, 3))
+        assert 1 <= len(pids) <= workers
+        assert misses == len(pids)
+        assert hits == len(specs) - misses
 
 
 class TestRemovedKnobs:
-    """The shared-memory wire's knobs are gone; callers that still pass
-    them get an error, never a silently ignored setting."""
+    """The knobs of removed mechanisms (the shared-memory wire, the warm
+    broadcast, worker heartbeats, retry backoff) are gone; callers that
+    still pass them get an error, never a silently ignored setting."""
 
     @pytest.mark.parametrize("kwargs", [
         {"transport": "pickle"},
         {"slot_bytes": 4096},
+        {"retry_backoff": 0.01},
+        {"heartbeat_interval_seconds": 0.5},
+        {"heartbeat_timeout_seconds": 5.0},
     ])
     def test_chunk_runner_rejects_wire_arguments(self, kwargs):
         with pytest.raises(TypeError):
@@ -268,6 +250,19 @@ class TestRemovedKnobs:
     def test_execution_options_have_no_transport(self):
         with pytest.raises(TypeError):
             ExecutionOptions(transport="pickle")
+
+    def test_execution_options_have_no_retry_backoff(self):
+        with pytest.raises(TypeError):
+            ExecutionOptions(retry_backoff=0.01)
+
+    def test_collect_rejects_retry_backoff(self):
+        with pytest.raises(TypeError):
+            collect([make_task()], base_seed=1, retry_backoff=0.01)
+
+    def test_warm_spec_is_gone(self):
+        assert "warm_spec" not in engine.__all__
+        with pytest.raises(ImportError):
+            from repro.engine import warm_spec  # noqa: F401
 
     def test_collect_rejects_transport(self):
         with pytest.raises(TypeError):
@@ -288,3 +283,9 @@ class TestRemovedKnobs:
             cli.build_parser().parse_args(argv + [flag, "frame"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_cli_rejects_retry_backoff(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["collect", "--retry-backoff", "0.1"])
+        assert exc.value.code == 2
+        assert "--retry-backoff" in capsys.readouterr().err
