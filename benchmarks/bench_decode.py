@@ -1,8 +1,10 @@
 """Per-shot vs compiled MWPM decoding: syndromes/sec per decoder to JSON.
 
-The compiled matching decoder (PR 3's tentpole) must beat the seed's
-per-shot MatchingDecoder by >= 5x on a d=7 surface-code DEM at
-1024-shot batches — while predicting bitwise-identically.  This bench
+The compiled matching decoder must beat the per-shot MatchingDecoder
+by >= 5x on a d=7 surface-code DEM at 1024-shot batches, with identical
+predictions (its contract guarantees them wherever the minimum-weight
+matching is unique, and this DEM's sample has no tie that splits
+them).  This bench
 measures decode_batch throughput for every registered matching-class
 decoder, verifies the predictions agree, and records the numbers to a
 JSON file the trajectory can track across PRs.

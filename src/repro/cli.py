@@ -62,9 +62,11 @@ _DECODER_HELP = """\
 decoders (see `repro decoders` for the registered list):
   compiled-matching  MWPM lowered once into flat arrays (all-pairs shortest
                      paths + path observable masks precomputed); batches
-                     decode through vectorized pair lookups.  Bitwise
-                     identical predictions to `matching` and the default
-                     for anything beyond a handful of shots.
+                     decode through vectorized pair lookups and a batched
+                     assignment relaxation.  Same minimum matching weight
+                     as `matching`, identical predictions wherever that
+                     matching is unique; the default for anything beyond
+                     a handful of shots.
   matching           per-shot Dijkstra + blossom MWPM; the readable
                      reference implementation.
   lookup             maximum-likelihood syndrome table; exact up to the

@@ -18,8 +18,12 @@ either way:
 ``compiled-matching`` (aliases ``cmwpm``, ``batch-matching``)
     The same matching decoder lowered once into flat CSR arrays with
     precomputed all-pairs shortest-path distances and path observable
-    masks; batches decode through vectorized pair lookups.  Bitwise
-    identical predictions to ``matching`` and the throughput default.
+    masks; batches decode through vectorized pair lookups, pairing
+    enumeration and a batched assignment relaxation.  Every prediction
+    comes from a matching of the same minimum weight as ``matching``'s,
+    and predictions are identical wherever that matching is unique
+    (ties follow the rule in :mod:`repro.decoders.compiled`).  The
+    throughput default.
 ``lookup`` (alias ``table``)
     Maximum-likelihood table decoding for small DEMs (exact up to the
     enumerated fault weight).
@@ -125,10 +129,15 @@ register_decoder(
         name="compiled-matching",
         description=(
             "MWPM lowered to flat CSR arrays with precomputed all-pairs "
-            "paths; batched decoding, bitwise identical to 'matching'"
+            "paths; batched decoding with the same minimum matching "
+            "weight as 'matching', identical predictions wherever that "
+            "matching is unique"
         ),
         graphlike_only=True,
         batched=True,
+        # "2": many-defect rows settle through the assignment
+        # relaxation, whose tie-breaking differs from blossom's.
+        version="2",
     ),
     _compile_compiled_matching,
     aliases=("cmwpm", "batch-matching"),

@@ -11,28 +11,51 @@ compiled decoder does all path-finding at **compile time** instead:
 * Dijkstra runs once from every node, producing an all-pairs distance
   matrix and, via the predecessor trees, a per-pair *path observable
   mask* (the XOR of edge masks along the shortest path);
-* decoding a batch then dedupes identical syndromes, resolves the
-  one- and two-defect syndromes (the bulk at QEC-relevant error rates)
-  with pure array gathers, and matches small defect sets (up to 10
-  nodes — virtually every remaining shot) by enumerating all perfect
-  pairings at once: one ``(rows, pairings)`` total-weight tensor per
-  defect-count group, built from vectorized distance lookups.  Blossom
-  matching over the NetworkX graph survives only as the fallback for
-  very large defect sets, unreachable pairs, and weight ties.
+* decoding a batch then dedupes identical syndromes and settles each
+  unique row on the cheapest path that is exact for it:
+
+  - one and two defects (the bulk at QEC-relevant error rates): pure
+    array gathers of one precomputed pair;
+  - at least ``_RELAX_MIN_DEFECTS`` (11) defects: the min-cost
+    assignment relaxation of perfect matching, solved for all such rows
+    at once by batched shortest augmenting paths.  A row whose optimal
+    assignment has only even cycles is decoded from it; the rest fall
+    through to the next two paths;
+  - up to ``_MAX_ENUM_NODES`` (12) nodes: enumerate all perfect
+    pairings at once, one ``(rows, pairings)`` total-weight tensor per
+    defect-count group built from vectorized distance lookups;
+  - everything else (more nodes, unreachable pairs, enumerated ties
+    that change the prediction): the same ``nx.max_weight_matching``
+    call the reference makes.
 
 Both batch entry points — unpacked ``decode_batch`` and the packed-wire
 ``decode_batch_packed`` — reduce their unique rows to one CSR-style
 defect view and share a single decode core, so the packed path (zero-row
 short-circuit, void-view dedupe, defect extraction straight from the
-uint64 words) predicts bit-for-bit what the unpacked path predicts.
+uint64 words) predicts bit for bit what the unpacked path predicts.
 
-Predictions are bitwise identical to :class:`MatchingDecoder`: the CSR
+The contract with :class:`MatchingDecoder`: every prediction comes from
+a matching of the same minimum total weight, and predictions are
+identical wherever the minimum-weight matching is unique.  The CSR
 Dijkstra mirrors NetworkX's traversal exactly (same strictly-improving
 relaxation, insertion-order tie-breaking on equal distances, adjacency
-iteration in edge-insertion order); the enumerated matching is used
-only where its optimum is unique (or every near-optimal pairing
-predicts the same correction), and everything else goes through the
-same ``nx.max_weight_matching`` call the reference makes.
+iteration in edge-insertion order), so path masks agree.  Between
+equal-weight matchings:
+
+* relaxation rows take the solver's choice — a free column first, then
+  the lowest index — with each cycle split into pairs from its lowest
+  node;
+* enumerated rows use the optimum only where it is unique or every
+  near-optimal pairing predicts the same correction, and otherwise
+  defer to blossom, which breaks the tie exactly as the reference does.
+
+**Why the relaxation is exact.**  A perfect matching ``M`` gives an
+assignment of cost ``2 w(M)`` (each pair assigned both ways), so the
+optimal assignment costs ``A* <= 2 OPT``.  When ``A*`` has only even
+cycles, both ways of alternating round each cycle weigh the same: if
+one were lighter, replacing the cycle by its 2-cycles would give an
+assignment cheaper than ``A*``.  The matching built from it therefore
+weighs ``A*/2 <= OPT``, so it is a minimum-weight perfect matching.
 """
 
 from __future__ import annotations
@@ -76,6 +99,22 @@ _ENUM_SLAB_ELEMENTS = 1 << 22
 # float noise across differently-ordered sums is ~1e-13 at QEC weight
 # scales, while mathematically distinct totals differ by far more.
 _TIE_TOL = 1e-9
+# Rows with at least this many defects try the assignment relaxation
+# before enumeration and blossom.  The padded-12 group enumerates at
+# ~0.5 ms a row, far above the relaxation's cost; the padded-10 group
+# enumerates at ~30 us a row, so moving it as well does not pay.
+_RELAX_MIN_DEFECTS = 11
+# Bound on the (rows, N, N) cost tensor of one relaxation slab; the
+# solve keeps a few tensors of that shape alive (~8 MB each).
+_RELAX_SLAB_ELEMENTS = 1 << 20
+
+
+def _count_decode_paths(**rows: int) -> None:
+    """Unique rows settled per decode path (gather, relax, enumerate,
+    blossom)."""
+    for path, n in rows.items():
+        obs.counter("repro_decode_path_rows_total", path=path).inc(n)
+
 
 _PAIRINGS: dict[int, np.ndarray] = {}
 
@@ -103,6 +142,160 @@ def _pairings(k: int) -> np.ndarray:
         recurse(tuple(range(k)), [])
         _PAIRINGS[k] = np.array(result, dtype=np.int64).reshape(-1, k // 2, 2)
     return _PAIRINGS[k]
+
+
+def _solve_assignment(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignments for a stack of square cost matrices.
+
+    ``cost`` has shape (problems, n, n) with finite entries; returns
+    ``col4row`` of shape (problems, n): row ``i`` of problem ``p`` is
+    assigned column ``col4row[p, i]``.  Shortest augmenting paths
+    (Crouse, IEEE TAES 2016) from a row-minimum warm start; all
+    problems advance in lockstep and finished ones drop out.  Ties pick
+    a free column first, then the lowest index, so each problem's
+    answer depends on its own matrix only.
+    """
+    problems, n, _ = cost.shape
+    span = np.arange(problems)
+    # Warm start: u = row minima makes every reduced cost >= 0 with
+    # v = 0; each row claims its row-minimum column, in row order,
+    # while that column is free.
+    u = cost.min(axis=2)
+    v = np.zeros((problems, n))
+    col4row = np.full((problems, n), -1, dtype=np.int64)
+    row4col = np.full((problems, n), -1, dtype=np.int64)
+    first_min = cost.argmin(axis=2)
+    for row in range(n):
+        col = first_min[:, row]
+        free = row4col[span, col] < 0
+        col4row[free, row] = col[free]
+        row4col[span[free], col[free]] = row
+    while True:
+        (active,) = np.nonzero((col4row < 0).any(axis=1))
+        if active.size == 0:
+            return col4row
+        _augment(cost, u, v, col4row, row4col, active)
+
+
+def _augment(
+    cost: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    col4row: np.ndarray,
+    row4col: np.ndarray,
+    active: np.ndarray,
+) -> None:
+    """One shortest augmenting path in each ``active`` problem, from its
+    lowest unassigned row; updates duals and assignment in place."""
+    m, n = active.size, cost.shape[1]
+    local = np.arange(m)
+    start = (col4row[active] < 0).argmax(axis=1)
+    path_cost = np.full((m, n), np.inf)
+    path = np.zeros((m, n), dtype=np.int64)  # row preceding each column
+    rows_seen = np.zeros((m, n), dtype=bool)
+    cols_seen = np.zeros((m, n), dtype=bool)
+    min_val = np.zeros(m)
+    sink = np.zeros(m, dtype=np.int64)
+    row = start.copy()
+    live = local
+    while live.size:
+        p, r = active[live], row[live]
+        rows_seen[live, r] = True
+        reduced = (
+            min_val[live, None] + cost[p, r] - u[p, r][:, None] - v[p]
+        )
+        seen = cols_seen[live]
+        shorter = (reduced < path_cost[live]) & ~seen
+        path_cost[live] = np.where(shorter, reduced, path_cost[live])
+        path[live] = np.where(shorter, r[:, None], path[live])
+        key = np.where(seen, np.inf, path_cost[live])
+        lowest = key.min(axis=1)
+        tied = key == lowest[:, None]
+        tied_free = tied & (row4col[p] < 0)
+        col = np.where(
+            tied_free.any(axis=1), tied_free.argmax(axis=1), tied.argmax(axis=1)
+        )
+        min_val[live] = lowest
+        cols_seen[live, col] = True
+        owner = row4col[p, col]
+        found = owner < 0
+        sink[live[found]] = col[found]
+        row[live[~found]] = owner[~found]
+        live = live[~found]
+
+    # Dual update keeps every reduced cost >= 0 and the assigned ones 0.
+    u[active, start] += min_val
+    rows_seen[local, start] = False
+    assigned = np.where(rows_seen, col4row[active], 0)
+    u[active] += np.where(
+        rows_seen,
+        min_val[:, None] - np.take_along_axis(path_cost, assigned, axis=1),
+        0.0,
+    )
+    v[active] -= np.where(cols_seen, min_val[:, None] - path_cost, 0.0)
+
+    # Flip the path from the sink column back to the start row.
+    col = sink
+    live = local
+    while live.size:
+        p, c = active[live], col[live]
+        r = path[live, c]
+        row4col[p, c] = r
+        col[live] = col4row[p, r]
+        col4row[p, r] = c
+        live = live[r != start[live]]
+
+
+def _padded_costs(dist: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Assignment costs of the matching relaxation, padded to one size.
+
+    ``dist`` is a (rows, N, N) stack of symmetric pair distances and
+    ``real`` a (rows, N) mask of the real slots: an even number of them,
+    ahead of the dummy slots.  Dummy slots come in (2t, 2t+1) couples
+    at cost 0.  Every other entry off the real block, the diagonal and
+    unreachable real pairs cost more than any assignment within the
+    real block, so the optimum never uses them while the real block has
+    a finite assignment.
+    """
+    size = dist.shape[1]
+    slots = np.arange(size)
+    usable = real[:, :, None] & real[:, None, :] & np.isfinite(dist)
+    big = 1.0 + 2.0 * size * np.abs(np.where(usable, dist, 0.0)).max()
+    cost = np.where(usable, dist, big)
+    couple = ~real[:, :, None] & (slots[:, None] ^ 1 == slots[None, :])
+    cost[couple] = 0.0
+    cost[:, slots, slots] = big
+    return cost
+
+
+def _cycle_pairs(col4row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split assignments into pairs along their cycles.
+
+    Returns ``(even, opens)``: ``even[p]`` is true when every cycle of
+    problem ``p`` has even length, and ``opens[p, i]`` marks the slots
+    that open a pair ``(i, col4row[p, i])`` — positions 0, 2, 4, ...
+    along each cycle, counted from its lowest slot.
+    """
+    problems, n = col4row.shape
+    slots = np.broadcast_to(np.arange(n), (problems, n))
+    # Round each cycle once: the lowest slot met anchors the cycle, the
+    # step that returns to the start is its length.
+    anchor = slots.copy()
+    length = np.zeros((problems, n), dtype=np.int64)
+    node = col4row
+    for step in range(1, n + 1):
+        np.minimum(anchor, node, out=anchor)
+        length[(length == 0) & (node == slots)] = step
+        node = np.take_along_axis(col4row, node, axis=1)
+    even = (length % 2 == 0).all(axis=1)
+    # In an even cycle a slot sits at an even position from the anchor
+    # iff it is an even number of steps short of reaching it.
+    opens = slots == anchor
+    node = slots
+    for step in range(1, n):
+        node = np.take_along_axis(col4row, node, axis=1)
+        opens |= (node == anchor) & (length > step) & (step % 2 == 0)
+    return even, opens
 
 
 class CompiledMatchingDecoder:
@@ -235,15 +428,115 @@ class CompiledMatchingDecoder:
                 pairs[finite, 0], pairs[finite, 1]
             ]
 
-        # Three or more defects: enumerate perfect pairings per
+        # Many defects: the assignment relaxation settles most rows in
+        # one batched solve; the rest take enumeration or blossom.
+        pending = counts.copy()
+        (many,) = np.nonzero(counts >= _RELAX_MIN_DEFECTS)
+        relaxed = self._relax_rows(many, counts, offsets, flat, decoded)
+        pending[relaxed] = 0
+
+        # Three to twelve nodes: enumerate perfect pairings per
         # defect-count group, vectorized over all rows of the group.
+        blossom = [np.nonzero(pending > _MAX_ENUM_NODES)[0]]
         for padded in range(4, _MAX_ENUM_NODES + 2, 2):
-            self._enumerate_group(counts, offsets, flat, padded, decoded)
-        for row in np.nonzero(counts > _MAX_ENUM_NODES)[0]:
+            blossom.append(
+                self._enumerate_group(pending, offsets, flat, padded, decoded)
+            )
+        blossom = np.concatenate(blossom)
+        for row in blossom:
             decoded[row] = self._match(
                 flat[offsets[row]: offsets[row] + counts[row]]
             )
+        if obs.is_metrics():
+            gather, relax = one.size + two.size, relaxed.size
+            _count_decode_paths(
+                gather=gather,
+                relax=relax,
+                enumerate=int(np.count_nonzero(counts))
+                - gather - relax - blossom.size,
+                blossom=blossom.size,
+            )
         return decoded
+
+    def _node_rows(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        offsets: np.ndarray,
+        flat: np.ndarray,
+        size: int,
+    ) -> np.ndarray:
+        """Matching nodes of ``rows`` as a (rows, size) index matrix:
+        the defects in ascending order, then the boundary when the
+        count is odd, then -1 in every slot left over."""
+        slots = np.arange(size)
+        k = counts[rows][:, None]
+        index = np.minimum(offsets[rows][:, None] + slots, flat.size - 1)
+        nodes = np.where(slots < k, flat[index], -1)
+        nodes[(slots == k) & (k % 2 == 1)] = self._boundary
+        return nodes
+
+    def _relax_rows(
+        self,
+        rows: np.ndarray,
+        counts: np.ndarray,
+        offsets: np.ndarray,
+        flat: np.ndarray,
+        decoded: np.ndarray,
+    ) -> np.ndarray:
+        """Decode the ``rows`` the assignment relaxation settles and
+        return them; the others are left for enumeration or blossom."""
+        # Largest rows first, so each slab pads to its first row's size
+        # and the slab holds at most _RELAX_SLAB_ELEMENTS costs.
+        rows = rows[np.argsort(-counts[rows], kind="stable")]
+        settled = [rows[:0]]
+        start = 0
+        while start < rows.size:
+            size = int(counts[rows[start]] + 1) // 2 * 2
+            part = rows[start:start + max(
+                1, _RELAX_SLAB_ELEMENTS // (size * size)
+            )]
+            start += part.size
+            ok, lo, hi = self._relax(
+                self._node_rows(part, counts, offsets, flat, size)
+            )
+            decoded[part[ok]] = np.bitwise_xor.reduce(
+                self._mask[lo[ok], hi[ok]], axis=1
+            )
+            settled.append(part[ok])
+        return np.concatenate(settled)
+
+    def _relax(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Minimum-weight perfect matchings via the assignment relaxation.
+
+        ``nodes`` is a (rows, N) matrix from :meth:`_node_rows` with N
+        even.  Returns ``(settled, lo, hi)``: ``settled[r]`` is true when
+        row ``r``'s optimal assignment has only even cycles and all its
+        pairs are reachable, and for those rows ``(lo, hi)`` lists the
+        matched node pairs, smaller index first.  Slots that open no
+        real pair hold ``(boundary, boundary)``, whose distance and mask
+        are both zero.
+        """
+        slots = np.arange(nodes.shape[1])
+        real = nodes >= 0
+        safe = np.where(real, nodes, self._boundary)
+        dist = self._dist[safe[:, :, None], safe[:, None, :]]
+        # Every pair reads dist[lo, hi], as enumeration and blossom do.
+        upper = slots[:, None] < slots[None, :]
+        dist = np.where(upper, dist, dist.swapaxes(1, 2))
+        pair = real[:, :, None] & real[:, None, :]
+        reachable = (np.isfinite(dist) | ~pair).all(axis=(1, 2))
+
+        col4row = _solve_assignment(_padded_costs(dist, real))
+        even, opens = _cycle_pairs(col4row)
+        settled = reachable & even
+        opens &= real & settled[:, None]
+        mate = np.take_along_axis(safe, col4row, axis=1)
+        lo = np.where(opens, np.minimum(safe, mate), self._boundary)
+        hi = np.where(opens, np.maximum(safe, mate), self._boundary)
+        return settled, lo, hi
 
     def _enumerate_group(
         self,
@@ -252,23 +545,13 @@ class CompiledMatchingDecoder:
         flat: np.ndarray,
         padded: int,
         decoded: np.ndarray,
-    ) -> None:
-        """Decode every row whose defect set pads to ``padded`` nodes."""
-        groups = []
-        (odd,) = np.nonzero(counts == padded - 1)
-        if odd.size:
-            defects = flat[offsets[odd][:, None] + np.arange(padded - 1)]
-            boundary = np.full((odd.size, 1), self._boundary, np.int64)
-            groups.append((odd, np.hstack([defects, boundary])))
-        (even,) = np.nonzero(counts == padded)
-        if even.size:
-            groups.append(
-                (even, flat[offsets[even][:, None] + np.arange(padded)])
-            )
-        if not groups:
-            return
-        rows = np.concatenate([g[0] for g in groups])
-        nodes = np.concatenate([g[1] for g in groups])
+    ) -> np.ndarray:
+        """Decode every row whose defect set pads to ``padded`` nodes;
+        returns the rows left for blossom."""
+        (rows,) = np.nonzero((counts == padded - 1) | (counts == padded))
+        if not rows.size:
+            return rows
+        nodes = self._node_rows(rows, counts, offsets, flat, padded)
 
         pairings = _pairings(padded)
         # Slab the group so the (rows, pairings, pairs-per-pairing)
@@ -278,13 +561,15 @@ class CompiledMatchingDecoder:
             1,
             _ENUM_SLAB_ELEMENTS // (pairings.shape[0] * pairings.shape[1]),
         )
-        for start in range(0, rows.size, slab):
+        return np.concatenate([
             self._enumerate_slab(
                 rows[start:start + slab],
                 nodes[start:start + slab],
                 pairings,
                 decoded,
             )
+            for start in range(0, rows.size, slab)
+        ])
 
     def _enumerate_slab(
         self,
@@ -292,8 +577,9 @@ class CompiledMatchingDecoder:
         nodes: np.ndarray,
         pairings: np.ndarray,
         decoded: np.ndarray,
-    ) -> None:
-        """Vectorized minimum-weight pairing for one slab of rows."""
+    ) -> np.ndarray:
+        """Vectorized minimum-weight pairing for one slab of rows;
+        returns the rows left for blossom."""
         dist = self._dist[nodes[:, :, None], nodes[:, None, :]]
         totals = dist[:, pairings[:, :, 0], pairings[:, :, 1]].sum(axis=2)
         span = np.arange(rows.size)
@@ -310,36 +596,37 @@ class CompiledMatchingDecoder:
         finite = np.isfinite(best)
         unsafe = ~finite | (near.sum(axis=1) > 1)
         decoded[rows[~unsafe]] = predictions[~unsafe]
-        for r in np.nonzero(unsafe)[0]:
-            decoded[rows[r]] = self._resolve_tied(
-                nodes[r], pairings, near[r], finite[r]
-            )
+        blossom = []
+        for r in np.nonzero(unsafe & finite)[0]:
+            prediction = self._tie_prediction(nodes[r], pairings, near[r])
+            if prediction is None:
+                blossom.append(rows[r])
+            else:
+                decoded[rows[r]] = prediction
+        return np.concatenate(
+            [rows[unsafe & ~finite], np.array(blossom, dtype=np.int64)]
+        )
 
-    def _resolve_tied(
+    def _tie_prediction(
         self,
         node_row: np.ndarray,
         pairings: np.ndarray,
         near_row: np.ndarray,
-        finite: bool,
-    ) -> np.ndarray:
-        """A row with unreachable pairs or a weight tie.
-
-        If every near-optimal pairing predicts the same correction the
-        tie is harmless; otherwise (and for unreachable pairs, where
-        maximum-cardinality semantics kick in) defer to the same blossom
-        call the reference decoder makes, so tie-breaking agrees
-        bitwise.
-        """
-        defects = node_row[node_row != self._boundary]
-        if finite:
-            tied = pairings[np.nonzero(near_row)[0]]
-            a = node_row[tied[:, :, 0]]
-            b = node_row[tied[:, :, 1]]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            predictions = np.bitwise_xor.reduce(self._mask[lo, hi], axis=1)
-            if not np.any(predictions != predictions[0]):
-                return predictions[0]
-        return self._match(defects)
+    ) -> np.ndarray | None:
+        """A row with a weight tie: the shared prediction when every
+        near-optimal pairing predicts the same correction, else ``None``
+        — the row then takes the same blossom call the reference
+        decoder makes, so tie-breaking agrees bitwise.  (Rows with
+        unreachable pairs go to blossom directly, where
+        maximum-cardinality semantics kick in.)"""
+        tied = pairings[np.nonzero(near_row)[0]]
+        a = node_row[tied[:, :, 0]]
+        b = node_row[tied[:, :, 1]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        predictions = np.bitwise_xor.reduce(self._mask[lo, hi], axis=1)
+        if np.any(predictions != predictions[0]):
+            return None
+        return predictions[0]
 
     # -- internals -------------------------------------------------------------
 

@@ -58,6 +58,12 @@ class DecoderInfo:
 
     ``compile_once`` — construction does all path-finding/enumeration
     up front; decoding afterwards never re-analyzes the DEM.
+
+    ``version`` — bumped when the decoder's predictions change for some
+    syndromes (say, a new tie-breaking rule).  A set version joins
+    :meth:`repro.engine.Task.strong_id`, so result-store rows written
+    under an older version re-collect instead of mixing with new
+    counts; ``None`` leaves the id as it was before versions existed.
     """
 
     name: str
@@ -66,6 +72,7 @@ class DecoderInfo:
     batched: bool = False
     exact: bool = False
     compile_once: bool = True
+    version: str | None = None
 
 
 @dataclass(frozen=True)

@@ -114,19 +114,26 @@ class Task:
 
         Deliberately excludes the shot budget: budgets describe *how
         long* to collect, not *what* is being measured, so resuming with
-        a different budget still finds the row.
+        a different budget still finds the row.  Includes the decoder's
+        :attr:`~repro.decoders.DecoderInfo.version` when it has one, so
+        counts from an older version of a decoder are not resumed.
         """
         if self._strong_id is not None:
             return self._strong_id
-        payload = json.dumps(
-            {
-                "circuit": self.circuit_fingerprint(),
-                "decoder": self.decoder,
-                "sampler": self.sampler,
-                "metadata": self.metadata,
-            },
-            sort_keys=True,
+        content = {
+            "circuit": self.circuit_fingerprint(),
+            "decoder": self.decoder,
+            "sampler": self.sampler,
+            "metadata": self.metadata,
+        }
+        version = (
+            None
+            if self.decoder == NO_DECODER
+            else decoder_registry.get_decoder(self.decoder).info.version
         )
+        if version is not None:
+            content["decoder_version"] = version
+        payload = json.dumps(content, sort_keys=True)
         self._strong_id = hashlib.sha256(payload.encode()).hexdigest()
         return self._strong_id
 

@@ -19,13 +19,13 @@ from repro.qec import repetition_code_memory
 SEED = 11
 
 
-def make_task(p=0.08, max_shots=2_000, max_errors=None):
+def make_task(p=0.08, max_shots=2_000, max_errors=None, decoder="matching"):
     circuit = repetition_code_memory(
         3, rounds=2, data_flip_probability=p, measure_flip_probability=p
     )
     return Task(
         circuit,
-        decoder="matching",
+        decoder=decoder,
         max_shots=max_shots,
         max_errors=max_errors,
         metadata={"d": 3, "p": p},
@@ -140,6 +140,33 @@ class TestResume:
         )
         assert again[0].resumed
         assert first[0].base_seed == SEED
+
+    def test_old_decoder_version_rows_recollect(self, tmp_path):
+        """Rows stored under a task's id from before its decoder had a
+        version re-collect; an unversioned decoder's rows still resume.
+        The ids below were computed before decoder versions existed."""
+        store_path = tmp_path / "results.jsonl"
+        matching = make_task(0.05)
+        compiled = make_task(0.05, decoder="compiled-matching")
+        old_ids = {
+            "matching": "7ae3509dbc212acb0fb2504808b65bc047ebf4d1bdd2399b"
+                        "018a2e98e0d32945",
+            "compiled-matching": "5f5dd09273fb04a4b4f1a1e3692cc35a68125e9"
+                                 "46fa8f14f7d6cb0aaab14721f",
+        }
+        store = ResultStore(store_path)
+        for decoder, task_id in old_ids.items():
+            store.append(TaskStats(
+                task_id, decoder, "symbolic", metadata={"d": 3, "p": 0.05},
+                shots=2_000, errors=7, base_seed=SEED,
+            ))
+        stats = collect(
+            [matching, compiled], base_seed=SEED, chunk_shots=500,
+            store=store_path,
+        )
+        assert stats[0].resumed and stats[0].task_id == old_ids["matching"]
+        assert not stats[1].resumed
+        assert stats[1].task_id != old_ids["compiled-matching"]
 
     def test_store_keeps_latest_duplicate(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
@@ -363,9 +390,10 @@ class TestCacheIntegration:
             reset_shared_cache()
 
     def test_compiled_decoder_counts_match_reference(self):
-        """Same seed + same sampler => same syndromes; the compiled
-        matcher's bitwise-identical predictions must therefore yield
-        bitwise-identical error counts through the whole engine."""
+        """Same seed + same sampler => same syndromes.  Rows of fewer
+        than 11 defects (every row here) decode exactly as the reference
+        does, ties included, so the error counts must be bitwise
+        identical through the whole engine."""
         circuit = repetition_code_memory(
             3, rounds=2,
             data_flip_probability=0.08, measure_flip_probability=0.08,

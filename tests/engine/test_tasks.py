@@ -1,5 +1,8 @@
 """Task identity and deterministic chunk planning."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.engine import Task, plan_chunks
@@ -45,6 +48,32 @@ class TestTask:
             Task(make_circuit(0.06)).strong_id(),
         }
         assert len(ids) == 5
+
+    def test_unversioned_decoder_id_is_pinned(self):
+        """Decoders without a version keep the id they had before
+        decoder versions joined the payload, so their stores resume."""
+        task = Task(make_circuit(), metadata={"d": 3, "p": 0.05})
+        assert task.strong_id() == (
+            "7ae3509dbc212acb0fb2504808b65bc047ebf4d1bdd2399b018a2e98e0d32945"
+        )
+
+    def test_decoder_version_joins_the_id(self):
+        task = Task(
+            make_circuit(), decoder="compiled-matching",
+            metadata={"d": 3, "p": 0.05},
+        )
+        unversioned = json.dumps(
+            {
+                "circuit": task.circuit_fingerprint(),
+                "decoder": task.decoder,
+                "sampler": task.sampler,
+                "metadata": task.metadata,
+            },
+            sort_keys=True,
+        )
+        assert task.strong_id() != hashlib.sha256(
+            unversioned.encode()
+        ).hexdigest()
 
     def test_describe_uses_metadata(self):
         task = Task(make_circuit(), metadata={"d": 3, "p": 0.05})
